@@ -97,7 +97,7 @@ fn run_at(
     pipeline_config.seed = LIVE_SEED;
     let mut pipeline = Pipeline::build(&pipeline_config);
     if shards > 0 {
-        pipeline.problem.set_sharding(shards, threads.max(1));
+        pipeline.problem.set_sharding(shards);
     }
     let config = live_config(epochs, inflight, threads, shards);
     let t = Instant::now();

@@ -1,24 +1,24 @@
-//! Sharded-CSR bench at the million-object scale — the headline artifact
-//! for the range-sharded graph view (DESIGN.md §11).
+//! Edge-range sharding bench at the million-object scale — the headline
+//! artifact for the sharded cost folds (DESIGN.md §11).
 //!
 //! The instance is `cca_trace::zipf_instance`'s 10⁶-object / 10⁷-edge
-//! Zipf table (50k / 500k in quick mode). The bench measures, on it:
+//! Zipf table (50k / 500k in quick mode), loaded into one
+//! [`cca_core::CcaProblem`]. The bench measures, on it:
 //!
 //! * flat [`cca_core::CorrelationGraph`] build time and resident bytes;
-//! * [`cca_core::ShardedGraph`] build time for shard counts {1, 2, 7} at
-//!   build thread counts {1, 2}, plus resident bytes;
-//! * `cost` and 8-wide `cost_batch` evaluation time for every
+//! * [`cca_core::CcaProblem::set_sharding`] time for shard counts
+//!   {1, 2, 7} (the "sharded build" rows; nothing is built, so the
+//!   partition's extra `memory_bytes` is 0);
+//! * `eval_cost` and 8-wide `eval_cost_batch` time for every
 //!   (shards, threads) combination vs. the flat serial walks,
 //!   **hard-asserting bit identity** for each — the instance's dyadic
 //!   weights (multiples of ⅛ × integral costs) make every reduction
 //!   shape exact, so shard/thread invariance is `==` on raw bits, not a
 //!   tolerance;
-//! * `move_delta` spot checks over a sample of objects (bit-identical
-//!   for any shard count by construction — the shard rows replicate the
-//!   flat rows);
 //! * the `> 2²⁴`-node **wide (f64) interleave regime**: a batch over
-//!   `2²⁴ + 1` nodes scored by flat and sharded walks must agree to the
-//!   bit, proving the fallback is a tested regime at generator scale.
+//!   `2²⁴ + 1` nodes scored by the flat and the 7-shard walks must agree
+//!   to the bit, proving the fallback is a tested regime at generator
+//!   scale.
 //!
 //! No speedup floor is asserted here — shard-parallel wins need cores
 //! and this bench must also hold on single-core hosts; the committed
@@ -26,20 +26,18 @@
 //! Besides the TSV table it writes `BENCH_shard.json` (override the path
 //! with `CCA_BENCH_OUT`).
 
-use cca::algo::{
-    CorrelationGraph, ObjectId, Pair, Placement, PlacementBatch, ShardedGraph,
-};
+use cca::algo::{CcaProblem, CorrelationGraph, Placement, PlacementBatch};
 use cca_bench::{header, quick_mode, BENCH_SEED};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
-use cca_trace::zipf_instance;
+use cca_trace::{zipf_instance, ZipfInstance};
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Shard counts under measurement (the ISSUE's required set).
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
-/// Thread counts swept for build and evaluation.
+/// Thread counts swept for evaluation.
 const THREAD_COUNTS: [usize; 2] = [1, 2];
 
 /// Candidate width of the batched-evaluation measurement.
@@ -58,6 +56,31 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         last = Some(v);
     }
     (best_ms, last.expect("runs >= 1"))
+}
+
+/// The placement problem over `inst`: every object and pair, on
+/// [`NODES`] nodes with room for everything.
+fn problem(inst: &ZipfInstance) -> CcaProblem {
+    let mut b = CcaProblem::builder();
+    let ids: Vec<_> = inst
+        .sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| b.add_object(format!("z{i}"), s))
+        .collect();
+    for p in &inst.pairs {
+        b.add_pair(
+            ids[p.a as usize],
+            ids[p.b as usize],
+            p.correlation,
+            p.comm_cost,
+        )
+        .expect("instance pairs are valid");
+    }
+    let total: u64 = inst.sizes.iter().sum();
+    b.uniform_capacities(NODES, total)
+        .build()
+        .expect("instance builds")
 }
 
 struct ShardResult {
@@ -103,7 +126,7 @@ fn write_json(
     out.push_str("  \"sharded\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"shards\": {}, \"threads\": {}, \"build_ms\": {:.3}, \"cost_ms\": {:.3}, \
+            "    {{\"shards\": {}, \"threads\": {}, \"build_ms\": {:.6}, \"cost_ms\": {:.3}, \
              \"cost_batch_ms\": {:.3}, \"memory_bytes\": {}, \"bits_match\": {}, \
              \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}}{}\n",
             r.shards,
@@ -128,7 +151,7 @@ fn write_json(
 }
 
 fn main() {
-    println!("# sharded CSR at the million-object scale");
+    println!("# edge-range sharding at the million-object scale");
     let (objects, edges) = if quick_mode() {
         (50_000, 500_000)
     } else {
@@ -144,19 +167,13 @@ fn main() {
          ({:.0} MiB raw)",
         instance_bytes as f64 / (1024.0 * 1024.0)
     );
-    let pairs: Vec<Pair> = inst
-        .pairs
-        .iter()
-        .map(|p| Pair {
-            a: ObjectId(p.a),
-            b: ObjectId(p.b),
-            correlation: p.correlation,
-            comm_cost: p.comm_cost,
-        })
-        .collect();
+    let mut problem = problem(&inst);
+    drop(inst);
 
     // Flat CSR baseline: build, serial cost, serial 8-wide batch.
-    let (flat_build_ms, graph) = best_of(2, || CorrelationGraph::build(objects, &pairs));
+    let (flat_build_ms, rebuilt) = best_of(2, || CorrelationGraph::build(objects, problem.pairs()));
+    drop(rebuilt);
+    let graph = problem.graph();
     let flat_bytes = graph.memory_bytes();
 
     let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5a4d);
@@ -179,63 +196,10 @@ fn main() {
         .collect();
     let batch = PlacementBatch::from_placements(&rotated);
 
-    let (flat_cost_ms, flat_cost) = best_of(3, || black_box(&graph).cost(&placement));
-    let (flat_batch_ms, flat_batch) = best_of(2, || black_box(&graph).cost_batch(&batch));
+    let (flat_cost_ms, flat_cost) = best_of(3, || black_box(graph).cost(&placement));
+    let (flat_batch_ms, flat_batch) = best_of(2, || black_box(graph).cost_batch(&batch));
 
-    // Spot-check sample for move_delta identity.
-    let sample: Vec<ObjectId> = (0..100)
-        .map(|_| ObjectId(rng.random_range(0..objects as u32)))
-        .collect();
-
-    header(
-        "sharded vs flat CSR",
-        &["shards", "threads", "build_ms", "cost_ms", "batch_ms", "bits"],
-    );
-    println!("flat\t-\t{flat_build_ms:.1}\t{flat_cost_ms:.2}\t{flat_batch_ms:.2}\t-");
-
-    let mut results = Vec::new();
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let (build_ms, sg) =
-                best_of(2, || ShardedGraph::build(objects, &pairs, shards, threads));
-            let (cost_ms, s_cost) = best_of(3, || black_box(&sg).cost(&placement, threads));
-            let (batch_ms, s_batch) = best_of(2, || black_box(&sg).cost_batch(&batch, threads));
-
-            let cost_match = s_cost.to_bits() == flat_cost.to_bits();
-            let batch_match = s_batch.len() == flat_batch.len()
-                && s_batch
-                    .iter()
-                    .zip(&flat_batch)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            let delta_match = sample.iter().all(|&o| {
-                [0usize, 17, NODES - 1].iter().all(|&k| {
-                    sg.move_delta(&placement, o, k).to_bits()
-                        == graph.move_delta(&placement, o, k).to_bits()
-                })
-            });
-            let bits_match = cost_match && batch_match && delta_match;
-            assert!(
-                bits_match,
-                "{shards} shards / {threads} threads diverged from the flat CSR \
-                 (cost {cost_match}, batch {batch_match}, delta {delta_match})"
-            );
-            println!(
-                "{shards}\t{threads}\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t{bits_match}"
-            );
-            results.push(ShardResult {
-                shards,
-                threads,
-                build_ms,
-                cost_ms,
-                batch_ms,
-                memory_bytes: sg.memory_bytes(),
-                bits_match,
-            });
-        }
-    }
-
-    // Wide-interleave regime: > 2^24 nodes forces the f64 layout; flat
-    // and sharded batched walks must still agree to the bit.
+    // Wide-interleave regime: > 2^24 nodes forces the f64 layout.
     let wide_nodes = (1usize << 24) + 1;
     let wide_batch = {
         let mut b = PlacementBatch::new(objects, wide_nodes);
@@ -250,7 +214,56 @@ fn main() {
         b
     };
     let wide_flat = graph.cost_batch(&wide_batch);
-    let wide_sharded = ShardedGraph::build(objects, &pairs, 7, 2).cost_batch(&wide_batch, 2);
+
+    header(
+        "edge-range shards vs flat CSR",
+        &["shards", "threads", "build_ms", "cost_ms", "batch_ms", "bits"],
+    );
+    println!("flat\t-\t{flat_build_ms:.1}\t{flat_cost_ms:.2}\t{flat_batch_ms:.2}\t-");
+
+    let mut results = Vec::new();
+    for shards in SHARD_COUNTS {
+        for threads in THREAD_COUNTS {
+            // `set_sharding` only records the count; the 1 ns floor keeps
+            // the build throughput finite when the timer reads zero.
+            let (build_ms, ()) = best_of(2, || black_box(&mut problem).set_sharding(shards));
+            let build_ms = build_ms.max(1e-6);
+            let (cost_ms, s_cost) =
+                best_of(3, || black_box(&problem).eval_cost(&placement, threads));
+            let (batch_ms, s_batch) =
+                best_of(2, || black_box(&problem).eval_cost_batch(&batch, threads));
+
+            let cost_match = s_cost.to_bits() == flat_cost.to_bits();
+            let batch_match = s_batch.len() == flat_batch.len()
+                && s_batch
+                    .iter()
+                    .zip(&flat_batch)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            let bits_match = cost_match && batch_match;
+            assert!(
+                bits_match,
+                "{shards} shards / {threads} threads diverged from the flat CSR \
+                 (cost {cost_match}, batch {batch_match})"
+            );
+            println!(
+                "{shards}\t{threads}\t{build_ms:.6}\t{cost_ms:.2}\t{batch_ms:.2}\t{bits_match}"
+            );
+            results.push(ShardResult {
+                shards,
+                threads,
+                build_ms,
+                cost_ms,
+                batch_ms,
+                // The partition is a shard count: it allocates nothing.
+                memory_bytes: 0,
+                bits_match,
+            });
+        }
+    }
+
+    // The wide batch scored on 7 edge ranges must match the flat walk.
+    problem.set_sharding(7);
+    let wide_sharded = problem.eval_cost_batch(&wide_batch, 2);
     let wide_bits_match = wide_flat
         .iter()
         .zip(&wide_sharded)

@@ -51,7 +51,7 @@ fn run_at(
     // loop; the report must not care either way.
     let mut problem = pipeline.problem.clone();
     if shards > 0 {
-        problem.set_sharding(shards, threads.max(1));
+        problem.set_sharding(shards);
     }
     let placement = greedy_placement(&problem);
     let cluster = pipeline.cluster_for(&placement);

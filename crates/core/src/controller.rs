@@ -13,8 +13,7 @@
 //!    estimated weights is exact — controller runs are byte-identical for
 //!    any `threads`/`shards` configuration (DESIGN.md §11).
 //! 2. **Detects drift per scope.** Objects are range-partitioned into
-//!    scopes (an edge belongs to its smaller endpoint's scope, mirroring
-//!    [`ShardedGraph`](crate::shard::ShardedGraph) ownership); a scope's
+//!    scopes (an edge belongs to its smaller endpoint's scope); a scope's
 //!    drift is the relative L1 gap between estimated and placed-against
 //!    edge weights.
 //! 3. **Re-solves scoped.** The worst drifting scope is re-solved with
@@ -95,8 +94,9 @@ pub struct ControllerConfig {
     /// Worker threads for solves and batched scoring (results are
     /// identical for any value).
     pub threads: usize,
-    /// Shard count for estimated-problem evaluation; `0` keeps the flat
-    /// graph (results are identical for any value — estimates are dyadic).
+    /// Shard count for estimated-problem evaluation; `0` and `1` keep the
+    /// serial fold (results are identical for any value — estimates are
+    /// dyadic).
     pub shards: usize,
     /// Budget applied to every scoped resilient solve. A wall-clock
     /// deadline here is the **only** nondeterministic knob in the loop.
@@ -770,9 +770,7 @@ impl Controller {
             .capacities(self.live_capacities.clone())
             .build()
             .expect("estimated problem mirrors the valid base problem");
-        if self.config.shards > 0 {
-            est.set_sharding(self.config.shards, self.config.threads);
-        }
+        est.set_sharding(self.config.shards);
         est
     }
 
@@ -823,10 +821,8 @@ impl Controller {
             .map(|(&cap, &used)| cap.saturating_sub(used))
             .collect();
         let (sub, ids) = est.restrict_to(&keep);
-        let mut sub = sub.with_capacities(sub_caps);
-        if cfg.shards > 0 {
-            sub.set_sharding(cfg.shards, cfg.threads);
-        }
+        // `restrict_to` kept the estimate's shard count.
+        let sub = sub.with_capacities(sub_caps);
 
         let options = ResilienceOptions {
             budget: cfg.budget.clone(),

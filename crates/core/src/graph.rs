@@ -24,6 +24,12 @@
 //!   ranking §4.2, audit) are total orders (the `(a, b)` tie-break is
 //!   unique per edge), so they equal what a per-call `sort_unstable` of
 //!   pair indices produced, for any starting permutation.
+//! * **Sharded folds.** [`CorrelationGraph::cost_sharded`],
+//!   [`CorrelationGraph::cost_batch_sharded`] and
+//!   [`CorrelationGraph::cost_replicas_sharded`] split the edge list into
+//!   N contiguous [`EdgeId`] ranges, fold the ranges in parallel and
+//!   reduce the partials in range order (DESIGN.md §11). Sharding is a
+//!   count, not a copy: the ranges are slices of the columns above.
 //!
 //! [`IncrementalCost`] layers an O(deg)-per-move cost accumulator on top,
 //! with the invariant that deltas match a full recompute difference (the
@@ -32,6 +38,7 @@
 use crate::placement::Placement;
 use crate::problem::{ObjectId, Pair, ProblemError};
 use crate::replica::ReplicaPlacement;
+use std::ops::Range;
 
 /// Identifier of an edge: the index of its [`Pair`] in
 /// [`crate::CcaProblem::pairs`] — this back-map is a stable, documented
@@ -90,23 +97,13 @@ pub struct CorrelationGraph {
     positive_weights: bool,
 }
 
-/// Rows per fixed chunk of [`CorrelationGraph::cost_chunked`]. Chunk
-/// boundaries depend only on the object count — never on the thread count
-/// — so the chunked sum is invariant across `threads`.
-const COST_CHUNK_ROWS: usize = 256;
-
-/// Edges per fixed chunk of [`CorrelationGraph::cost_batch_chunked`].
-/// Chunk boundaries depend only on the edge count — never on the thread
-/// count — so the chunked batch sums are invariant across `threads`.
-const BATCH_CHUNK_EDGES: usize = 4096;
-
 /// A batch of k candidate placements laid out structure-of-arrays: one
 /// `Vec<u32>` assignment column per candidate, all over the same object
 /// universe and node count.
 ///
 /// This is the input to the batched evaluation kernels
 /// ([`CorrelationGraph::cost_batch`] and
-/// [`CorrelationGraph::cost_batch_chunked`]): one walk of the CSR edge
+/// [`CorrelationGraph::cost_batch_sharded`]): one walk of the CSR edge
 /// columns scores every candidate, reading each edge's endpoints and
 /// weight once instead of once per candidate. See DESIGN.md §10 for the
 /// batched-evaluation contract.
@@ -240,7 +237,7 @@ impl PlacementBatch {
     /// is unchanged. Pure layout either way: the per-candidate fold order
     /// is untouched. Built on first use and cached until the next `push`,
     /// so re-scoring the same batch pays the transpose once.
-    pub(crate) fn interleaved(&self) -> &InterleavedRows {
+    fn interleaved(&self) -> &InterleavedRows {
         self.rows.get_or_init(|| {
             if self.num_nodes <= 1 << 24 {
                 InterleavedRows::Narrow(self.transpose(|node| node as f32))
@@ -269,7 +266,7 @@ impl PlacementBatch {
 /// narrow to `f32` whenever the node count keeps that exact (`< 2^24`),
 /// falling back to `f64` (exact for every `u32` id).
 #[derive(Debug, Clone)]
-pub(crate) enum InterleavedRows {
+enum InterleavedRows {
     Narrow(Vec<f32>),
     Wide(Vec<f64>),
 }
@@ -281,7 +278,7 @@ pub(crate) enum InterleavedRows {
 /// [`EdgeId`]`(e as u32)` cast exact). Checked *before* any allocation so
 /// an oversized instance errors instead of silently wrapping — or OOMing
 /// on the degree array.
-pub(crate) fn check_csr_bounds(num_objects: usize, num_pairs: usize) -> Result<(), ProblemError> {
+fn check_csr_bounds(num_objects: usize, num_pairs: usize) -> Result<(), ProblemError> {
     if num_objects > u32::MAX as usize || num_pairs > (u32::MAX / 2) as usize {
         return Err(ProblemError::GraphTooLarge {
             objects: num_objects,
@@ -289,26 +286,6 @@ pub(crate) fn check_csr_bounds(num_objects: usize, num_pairs: usize) -> Result<(
         });
     }
     Ok(())
-}
-
-/// The serial CCA cost fold over structure-of-arrays edge columns: the
-/// same `filter · map · sum` sequence as the historic pair-list scan
-/// (including `sum`'s `-0.0` identity for the no-split case), shared by
-/// [`CorrelationGraph::cost`] and the per-shard partials of
-/// [`crate::shard::ShardedGraph`].
-pub(crate) fn edge_cost_fold(
-    edge_a: &[ObjectId],
-    edge_b: &[ObjectId],
-    edge_weight: &[f64],
-    placement: &Placement,
-) -> f64 {
-    edge_a
-        .iter()
-        .zip(edge_b)
-        .zip(edge_weight)
-        .filter(|&((&a, &b), _)| placement.node_of(a) != placement.node_of(b))
-        .map(|(_, &w)| w)
-        .sum()
 }
 
 /// The shared batched edge loop over structure-of-arrays edge columns in
@@ -327,11 +304,9 @@ pub(crate) fn edge_cost_fold(
 /// zero-weight edges take the branchy scalar loop instead, which
 /// reproduces the serial fold sequence verbatim.
 ///
-/// Shared by [`CorrelationGraph::cost_batch`] /
-/// [`CorrelationGraph::cost_batch_chunked`] (over edge sub-ranges) and
-/// the per-shard partials of [`crate::shard::ShardedGraph::cost_batch`]
-/// (over shard-owned edge columns).
-pub(crate) fn batch_edge_walk<T: Copy + PartialEq>(
+/// Walked by [`CorrelationGraph::cost_batch`] over every edge and by
+/// [`CorrelationGraph::cost_batch_sharded`] over each shard's edge range.
+fn batch_edge_walk<T: Copy + PartialEq>(
     edge_a: &[ObjectId],
     edge_b: &[ObjectId],
     edge_weight: &[f64],
@@ -528,18 +503,17 @@ impl CorrelationGraph {
         by_correlation.sort_unstable_by(|&x, &y| {
             let (px, py) = (&pairs[x.index()], &pairs[y.index()]);
             py.correlation
-                .partial_cmp(&px.correlation)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&px.correlation)
                 .then((px.a, px.b).cmp(&(py.a, py.b)))
         });
         // Descending weight, ties by (a, b) — importance-ranking §4.2 and
         // audit order.
         let mut by_weight: Vec<EdgeId> = (0..m as u32).map(EdgeId).collect();
         by_weight.sort_unstable_by(|&x, &y| {
-            edge_weight[y.index()]
-                .partial_cmp(&edge_weight[x.index()])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then((edge_a[x.index()], edge_b[x.index()]).cmp(&(edge_a[y.index()], edge_b[y.index()])))
+            let (x, y) = (x.index(), y.index());
+            edge_weight[y]
+                .total_cmp(&edge_weight[x])
+                .then((edge_a[x], edge_b[x]).cmp(&(edge_a[y], edge_b[y])))
         });
         let positive_weights = edge_weight.iter().all(|&w| w > 0.0);
         Ok(CorrelationGraph {
@@ -702,11 +676,31 @@ impl CorrelationGraph {
     /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost(&self, placement: &Placement) -> f64 {
-        // The same `filter · map · sum` fold as the historic pair-list
-        // scan (including `sum`'s `-0.0` identity for the all-colocated
-        // case), over the SoA edge columns; zipped iteration keeps the
-        // loop free of bounds checks.
-        edge_cost_fold(&self.edge_a, &self.edge_b, &self.edge_weight, placement)
+        self.split_weight(0..self.num_edges(), |a, b| {
+            placement.node_of(a) != placement.node_of(b)
+        })
+    }
+
+    /// [`CorrelationGraph::cost`] over the `shards`-way [`EdgeId`]-range
+    /// partition: shard `s` folds the edges `[s·⌈m/N⌉, (s+1)·⌈m/N⌉)`
+    /// serially, the shards run on up to `threads` workers, and the
+    /// partials reduce in shard order from the `-0.0` identity. Shards
+    /// past the last edge are empty and contribute nothing.
+    ///
+    /// Identical for every `threads` value. With one shard it is
+    /// bit-identical to [`CorrelationGraph::cost`]; with more it is a
+    /// different associativity of the same terms, so it matches the
+    /// serial bits whenever every partial sum is exact (dyadic weights;
+    /// DESIGN.md §11).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement covers fewer objects than the graph.
+    #[must_use]
+    pub fn cost_sharded(&self, placement: &Placement, shards: usize, threads: usize) -> f64 {
+        self.split_weight_sharded(shards, threads, |a, b| {
+            placement.node_of(a) != placement.node_of(b)
+        })
     }
 
     /// Communication-cost change of moving `i` from its current node to
@@ -754,82 +748,46 @@ impl CorrelationGraph {
     /// Panics if the batch covers fewer objects than the graph.
     #[must_use]
     pub fn cost_batch(&self, batch: &PlacementBatch) -> Vec<f64> {
-        let k = batch.width();
         // `sum`'s identity is -0.0, so an all-colocated candidate scores
         // the same bits as the serial walk.
-        let mut acc = vec![-0.0f64; k];
-        if k == 0 {
-            return acc;
-        }
-        match batch.interleaved() {
-            InterleavedRows::Narrow(rows) => batch_edge_walk(
-                &self.edge_a,
-                &self.edge_b,
-                &self.edge_weight,
-                self.positive_weights,
-                rows,
-                k,
-                &mut acc,
-            ),
-            InterleavedRows::Wide(rows) => batch_edge_walk(
-                &self.edge_a,
-                &self.edge_b,
-                &self.edge_weight,
-                self.positive_weights,
-                rows,
-                k,
-                &mut acc,
-            ),
+        let mut acc = vec![-0.0f64; batch.width()];
+        if !batch.is_empty() {
+            self.batch_walk(0..self.num_edges(), batch, &mut acc);
         }
         acc
     }
 
-    /// [`CorrelationGraph::cost_batch`] evaluated in parallel over fixed
-    /// edge chunks (`BATCH_CHUNK_EDGES` edges each), with per-chunk
-    /// per-candidate partials reduced in chunk order.
+    /// [`CorrelationGraph::cost_batch`] over the `shards`-way
+    /// [`EdgeId`]-range partition: each shard runs the batched walk over
+    /// its range on up to `threads` workers, and the per-candidate
+    /// partials reduce in shard order from the `-0.0` identity.
     ///
-    /// The result is identical for every `threads` value (chunk boundaries
-    /// depend only on the edge count), and on instances with at most one
-    /// chunk it is bit-identical to the serial [`CorrelationGraph::cost_batch`]
-    /// (each partial starts at the `-0.0` identity). On larger instances
-    /// the chunked reduction is a *different associativity* than the
-    /// serial walk, so — exactly like [`CorrelationGraph::cost_chunked`] —
-    /// solver-reported costs stay on the serial batch walk; use this for
-    /// bulk re-evaluation where thread invariance suffices.
+    /// Column `c` is bit-identical to
+    /// `cost_sharded(batch.placement(c), shards, threads)` — each shard's
+    /// column is that shard's serial fold — and so, with one shard, to
+    /// [`CorrelationGraph::cost_batch`]. Identical for every `threads`
+    /// value. An empty batch yields an empty vector.
     ///
     /// # Panics
     ///
     /// Panics if the batch covers fewer objects than the graph.
     #[must_use]
-    pub fn cost_batch_chunked(&self, batch: &PlacementBatch, threads: usize) -> Vec<f64> {
+    pub fn cost_batch_sharded(
+        &self,
+        batch: &PlacementBatch,
+        shards: usize,
+        threads: usize,
+    ) -> Vec<f64> {
         let k = batch.width();
+        let mut totals = vec![-0.0f64; k];
         if k == 0 {
-            return Vec::new();
+            return totals;
         }
-        let m = self.edge_weight.len();
-        let chunks = m.div_ceil(BATCH_CHUNK_EDGES).max(1);
-        let rows = batch.interleaved();
-        let partials = cca_par::par_map_indexed(threads, chunks, |c| {
-            let start = c * BATCH_CHUNK_EDGES;
-            let end = (start + BATCH_CHUNK_EDGES).min(m);
+        let partials = self.shard_partials(shards, threads, |edges| {
             let mut acc = vec![-0.0f64; k];
-            let (ea, eb, ew) = (
-                &self.edge_a[start..end],
-                &self.edge_b[start..end],
-                &self.edge_weight[start..end],
-            );
-            match rows {
-                InterleavedRows::Narrow(r) => {
-                    batch_edge_walk(ea, eb, ew, self.positive_weights, r, k, &mut acc);
-                }
-                InterleavedRows::Wide(r) => {
-                    batch_edge_walk(ea, eb, ew, self.positive_weights, r, k, &mut acc);
-                }
-            }
+            self.batch_walk(edges, batch, &mut acc);
             acc
         });
-        // Reduce per candidate in chunk (index) order.
-        let mut totals = vec![-0.0f64; k];
         for partial in partials {
             for (t, p) in totals.iter_mut().zip(partial) {
                 *t += p;
@@ -879,42 +837,6 @@ impl CorrelationGraph {
         deltas
     }
 
-    /// [`CorrelationGraph::cost`] evaluated in parallel over fixed chunks
-    /// of CSR row ranges (each edge counted at its smaller endpoint), with
-    /// per-chunk partials reduced in chunk order.
-    ///
-    /// The result is identical for every `threads` value (chunk boundaries
-    /// depend only on the object count) but is a *different associativity*
-    /// than the serial [`CorrelationGraph::cost`], so the two may differ in
-    /// the last ulps; solver-reported costs therefore stay on the serial
-    /// walk. Use this for bulk re-evaluation where the thread-invariance
-    /// contract suffices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement covers fewer objects than the graph.
-    #[must_use]
-    pub fn cost_chunked(&self, placement: &Placement, threads: usize) -> f64 {
-        let chunks = self.num_objects.div_ceil(COST_CHUNK_ROWS).max(1);
-        let partials = cca_par::par_map_indexed(threads, chunks, |c| {
-            let start = c * COST_CHUNK_ROWS;
-            let end = (start + COST_CHUNK_ROWS).min(self.num_objects);
-            let mut sum = -0.0;
-            for i in start..end {
-                let obj = ObjectId(i as u32);
-                let on = placement.node_of(obj);
-                for (other, w) in self.neighbors(obj) {
-                    // Count each edge once, at its smaller endpoint.
-                    if other.index() > i && placement.node_of(other) != on {
-                        sum += w;
-                    }
-                }
-            }
-            sum
-        });
-        partials.into_iter().sum()
-    }
-
     // -- Replica-aware evaluation ------------------------------------------
 
     /// The replica-aware CCA objective: edge `(a, b)` pays `r·w` iff **no**
@@ -934,31 +856,28 @@ impl CorrelationGraph {
         if rp.replicas() == 1 {
             return self.cost(rp.primary());
         }
-        self.edge_a
-            .iter()
-            .zip(&self.edge_b)
-            .zip(&self.edge_weight)
-            .filter(|&((&a, &b), _)| rp.split(a, b))
-            .map(|(_, &w)| w)
-            .sum()
+        self.split_weight(0..self.num_edges(), |a, b| rp.split(a, b))
     }
 
-    /// [`CorrelationGraph::cost_replicas`] for a batch of candidates, in
-    /// slice order. All-`r = 1` batches route through the interleaved
-    /// [`CorrelationGraph::cost_batch`] kernel on the primary columns
-    /// (bit-identical per its contract); mixed/replicated batches fall
-    /// back to the serial replica fold per candidate.
+    /// [`CorrelationGraph::cost_replicas`] over the `shards`-way
+    /// [`EdgeId`]-range partition, reduced like
+    /// [`CorrelationGraph::cost_sharded`] — which it is, bit for bit, with
+    /// `r = 1`. Identical for every `threads` value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
-    pub fn cost_replica_batch(&self, candidates: &[&ReplicaPlacement]) -> Vec<f64> {
-        if candidates.is_empty() {
-            return Vec::new();
+    pub fn cost_replicas_sharded(
+        &self,
+        rp: &ReplicaPlacement,
+        shards: usize,
+        threads: usize,
+    ) -> f64 {
+        if rp.replicas() == 1 {
+            return self.cost_sharded(rp.primary(), shards, threads);
         }
-        if candidates.iter().all(|rp| rp.replicas() == 1) {
-            let primaries: Vec<Placement> =
-                candidates.iter().map(|rp| rp.primary().clone()).collect();
-            return self.cost_batch(&PlacementBatch::from_placements(&primaries));
-        }
-        candidates.iter().map(|rp| self.cost_replicas(rp)).collect()
+        self.split_weight_sharded(shards, threads, |a, b| rp.split(a, b))
     }
 
     /// Communication-cost change of moving **replica `j`** of object `i`
@@ -1005,6 +924,79 @@ impl CorrelationGraph {
             }
         }
         delta
+    }
+
+    /// The summed weight of the edges in `edges` (an [`EdgeId`] range)
+    /// that `split` reports as split: the `filter · map · sum` fold of the
+    /// historic pair-list scan, including `sum`'s `-0.0` identity for the
+    /// no-split case. Every scalar cost kernel is this fold.
+    fn split_weight(&self, edges: Range<usize>, split: impl Fn(ObjectId, ObjectId) -> bool) -> f64 {
+        let (a, b, w) = (
+            &self.edge_a[edges.clone()],
+            &self.edge_b[edges.clone()],
+            &self.edge_weight[edges],
+        );
+        // Zipped iteration keeps the loop free of bounds checks.
+        a.iter()
+            .zip(b)
+            .zip(w)
+            .filter(|&((&a, &b), _)| split(a, b))
+            .map(|(_, &w)| w)
+            .sum()
+    }
+
+    /// [`CorrelationGraph::split_weight`] over each shard of the
+    /// `shards`-way partition, reduced in shard order from the `-0.0`
+    /// identity.
+    fn split_weight_sharded(
+        &self,
+        shards: usize,
+        threads: usize,
+        split: impl Fn(ObjectId, ObjectId) -> bool + Sync,
+    ) -> f64 {
+        self.shard_partials(shards, threads, |edges| self.split_weight(edges, &split))
+            .into_iter()
+            .fold(-0.0, |total, p| total + p)
+    }
+
+    /// Runs `fold` over each shard of the `shards`-way [`EdgeId`]-range
+    /// partition on up to `threads` `cca-par` workers, returning the
+    /// partials in shard order. Shard `s` is the range
+    /// `[s·⌈m/N⌉, (s+1)·⌈m/N⌉)` of the `m` edges, so the partition
+    /// depends only on `(m, shards)`, never on `threads`. Shards past the
+    /// last edge are empty; their partial would be the `-0.0` reduce
+    /// identity, so they are not run at all. `shards = 0` counts as one.
+    fn shard_partials<T: Send>(
+        &self,
+        shards: usize,
+        threads: usize,
+        fold: impl Fn(Range<usize>) -> T + Sync,
+    ) -> Vec<T> {
+        let m = self.num_edges();
+        let per_shard = m.div_ceil(shards.max(1)).max(1);
+        cca_par::par_map_indexed(threads, m.div_ceil(per_shard), |s| {
+            fold(s * per_shard..((s + 1) * per_shard).min(m))
+        })
+    }
+
+    /// Runs [`batch_edge_walk`] over the edges in `edges`, accumulating
+    /// every candidate of `batch` into `acc` (one `-0.0`-initialised
+    /// entry per candidate).
+    fn batch_walk(&self, edges: Range<usize>, batch: &PlacementBatch, acc: &mut [f64]) {
+        let (a, b, w) = (
+            &self.edge_a[edges.clone()],
+            &self.edge_b[edges.clone()],
+            &self.edge_weight[edges],
+        );
+        let k = batch.width();
+        match batch.interleaved() {
+            InterleavedRows::Narrow(rows) => {
+                batch_edge_walk(a, b, w, self.positive_weights, rows, k, acc);
+            }
+            InterleavedRows::Wide(rows) => {
+                batch_edge_walk(a, b, w, self.positive_weights, rows, k, acc);
+            }
+        }
     }
 }
 
@@ -1147,8 +1139,7 @@ mod tests {
         by_corr.sort_unstable_by(|&x, &y| {
             let (px, py) = (&p.pairs()[x], &p.pairs()[y]);
             py.correlation
-                .partial_cmp(&px.correlation)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&px.correlation)
                 .then((px.a, px.b).cmp(&(py.a, py.b)))
         });
         let got: Vec<usize> = g.edges_by_correlation().iter().map(|e| e.index()).collect();
@@ -1157,8 +1148,7 @@ mod tests {
         by_w.sort_unstable_by(|&x, &y| {
             let (px, py) = (&p.pairs()[x], &p.pairs()[y]);
             py.weight()
-                .partial_cmp(&px.weight())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&px.weight())
                 .then((px.a, px.b).cmp(&(py.a, py.b)))
         });
         let got: Vec<usize> = g.edges_by_weight().iter().map(|e| e.index()).collect();
@@ -1182,16 +1172,21 @@ mod tests {
     }
 
     #[test]
-    fn cost_chunked_is_thread_invariant() {
+    fn cost_sharded_is_thread_invariant() {
         let p = problem();
         let g = p.graph();
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
-        let serial = g.cost_chunked(&pl, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(g.cost_chunked(&pl, threads).to_bits(), serial.to_bits());
+        for shards in [1, 2, 3, 8] {
+            let serial = g.cost_sharded(&pl, shards, 1);
+            for threads in [2, 3, 8] {
+                assert_eq!(
+                    g.cost_sharded(&pl, shards, threads).to_bits(),
+                    serial.to_bits()
+                );
+            }
+            // Integral weights: every partition adds exactly.
+            assert_eq!(serial.to_bits(), g.cost(&pl).to_bits());
         }
-        // Small instance: one chunk, so it even matches the serial walk.
-        assert_eq!(serial.to_bits(), g.cost(&pl).to_bits());
     }
 
     #[test]
@@ -1235,7 +1230,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_batch_chunked_is_thread_invariant() {
+    fn cost_batch_sharded_is_thread_invariant() {
         let p = problem();
         let g = p.graph();
         let batch = PlacementBatch::from_placements(&[
@@ -1243,12 +1238,16 @@ mod tests {
             Placement::new(vec![1, 1, 0, 0], 2),
         ]);
         let serial = g.cost_batch(&batch);
-        for threads in [1, 2, 3, 8] {
-            let chunked = g.cost_batch_chunked(&batch, threads);
-            for c in 0..batch.width() {
-                // Small instance: one edge chunk, so the chunked walk even
-                // matches the serial batch bit for bit.
-                assert_eq!(chunked[c].to_bits(), serial[c].to_bits(), "threads {threads}");
+        for shards in [1, 2, 3, 8] {
+            for threads in [1, 2, 3, 8] {
+                let sharded = g.cost_batch_sharded(&batch, shards, threads);
+                for c in 0..batch.width() {
+                    assert_eq!(
+                        sharded[c].to_bits(),
+                        serial[c].to_bits(),
+                        "shards {shards} threads {threads}"
+                    );
+                }
             }
         }
     }
@@ -1281,7 +1280,7 @@ mod tests {
         let batch = PlacementBatch::new(p.num_objects(), 2);
         assert!(batch.is_empty());
         assert!(g.cost_batch(&batch).is_empty());
-        assert!(g.cost_batch_chunked(&batch, 4).is_empty());
+        assert!(g.cost_batch_sharded(&batch, 2, 4).is_empty());
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
         assert!(g.move_delta_batch(&pl, ObjectId(0), &[]).is_empty());
     }
@@ -1304,8 +1303,8 @@ mod tests {
         assert_eq!(g.degree(ObjectId(2)), 0);
         assert_eq!(g.weighted_degree(ObjectId(0)), 0.0);
         let pl = Placement::new(vec![0, 1, 0], 2);
-        assert_eq!(g.cost(&pl), 0.0);
-        assert_eq!(g.cost_chunked(&pl, 4), 0.0);
+        assert_eq!(g.cost(&pl).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(g.cost_sharded(&pl, 4, 4).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

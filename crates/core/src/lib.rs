@@ -80,7 +80,6 @@ pub mod resources;
 pub mod rounding;
 pub mod scope;
 pub mod serving;
-pub mod shard;
 pub mod solver;
 
 pub use audit::{audit_placement, CapacityViolation, PlacementAudit, SplitPair};
@@ -127,5 +126,4 @@ pub use rounding::{
 };
 pub use scope::{compose_with_hashed_rest, importance_ranking, scope_subproblem};
 pub use serving::{LatencyHistogram, LiveReport, ServingReport};
-pub use shard::ShardedGraph;
 pub use solver::{place, place_partial, place_partial_with, LprrOptions, PlacementReport, Strategy};

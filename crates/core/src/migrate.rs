@@ -141,7 +141,7 @@ pub struct ReplicaMigrationOutcome {
 /// ascending id order, replica index ascending (primary first), targets
 /// in ascending node order with a strict-improvement `<` selection, so
 /// the walk is deterministic. Deltas come from
-/// [`crate::problem::CcaProblem::eval_replica_move_delta`]
+/// [`crate::graph::CorrelationGraph::replica_move_delta`]
 /// (min-over-replica-choices split test).
 ///
 /// # Panics
@@ -182,7 +182,7 @@ pub fn improve_replicas_in_place(
                     if !fits {
                         continue;
                     }
-                    let delta = problem.eval_replica_move_delta(&rp, o, j, k);
+                    let delta = problem.graph().replica_move_delta(&rp, o, j, k);
                     if delta + price < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
                         best = Some((delta, k));
                     }
@@ -601,10 +601,7 @@ pub fn drain_node(
             let fitting: Vec<usize> = (0..n)
                 .filter(|&k| k != node && loads.fits(k, o))
                 .collect();
-            // Dispatched through the problem so a sharded instance walks
-            // its shard row (bit-identical to the flat row for any shard
-            // count).
-            let deltas = problem.eval_move_delta_batch(&placement, o, &fitting);
+            let deltas = problem.graph().move_delta_batch(&placement, o, &fitting);
             let target = *fitting
                 .iter()
                 .zip(&deltas)

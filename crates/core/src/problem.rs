@@ -4,7 +4,6 @@ use crate::graph::{CorrelationGraph, PlacementBatch};
 use crate::placement::Placement;
 use crate::replica::ReplicaPlacement;
 use crate::resources::{Resource, ResourceError};
-use crate::shard::ShardedGraph;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -156,10 +155,9 @@ pub struct CcaProblem {
     pairs: Vec<Pair>,
     resources: Vec<Resource>,
     graph: CorrelationGraph,
-    // Opt-in range-sharded view of the same pair list (None by default —
-    // the flat CSR bit-contract is untouched unless sharding is enabled).
-    // Kept in lock-step with `pairs` by `restrict_to` / `prune_pairs`.
-    sharded: Option<ShardedGraph>,
+    // How many EdgeId ranges of `graph` the `eval_*` cost folds split into
+    // (1 = the serial fold). Copied by `restrict_to` and `prune_pairs`.
+    shards: usize,
 }
 
 impl CcaProblem {
@@ -225,113 +223,52 @@ impl CcaProblem {
         &self.graph
     }
 
-    /// Enables the range-sharded graph view: builds a [`ShardedGraph`]
-    /// over the current pair list with `shard_count` shards (clamped to
-    /// `[1, num_objects]`), constructing shards in parallel on up to
-    /// `threads` `cca-par` workers. The sharded view is a pure function of
-    /// `(pairs, shard_count)` — the build thread count never changes it.
-    ///
-    /// Once enabled, the `eval_*` dispatchers route bulk cost queries
-    /// through the shards; [`CcaProblem::graph`] and everything built on
-    /// it are unaffected. [`CcaProblem::restrict_to`] and
-    /// [`CcaProblem::prune_pairs`] rebuild the sharded view over the new
-    /// pair list with the same shard count.
-    pub fn set_sharding(&mut self, shard_count: usize, threads: usize) {
-        self.sharded = Some(ShardedGraph::build(
-            self.sizes.len(),
-            &self.pairs,
-            shard_count,
-            threads,
-        ));
+    /// Splits the `eval_*` cost folds into `shard_count` contiguous
+    /// [`crate::graph::EdgeId`] ranges of [`CcaProblem::graph`], folded in
+    /// parallel and reduced in range order (`0` counts as `1`, the
+    /// default serial fold). Nothing is built: the shards are slices of
+    /// the one graph. Moves and deltas always walk the graph's rows, so
+    /// sharding never changes them. [`CcaProblem::restrict_to`] and
+    /// [`CcaProblem::prune_pairs`] keep the count.
+    pub fn set_sharding(&mut self, shard_count: usize) {
+        self.shards = shard_count.max(1);
     }
 
-    /// Drops the sharded view; the `eval_*` dispatchers fall back to the
-    /// flat CSR.
-    pub fn clear_sharding(&mut self) {
-        self.sharded = None;
-    }
-
-    /// The range-sharded graph view, if [`CcaProblem::set_sharding`] was
-    /// called.
+    /// The shard count of the `eval_*` cost folds (1 when unsharded).
     #[must_use]
-    pub fn sharded(&self) -> Option<&ShardedGraph> {
-        self.sharded.as_ref()
+    pub fn shards(&self) -> usize {
+        self.shards
     }
 
-    /// The CCA objective of `placement`, dispatched to the sharded view
-    /// (shard-parallel partials reduced in shard-index order — identical
-    /// for every `threads` value) when sharding is enabled, else the flat
-    /// serial [`CorrelationGraph::cost`]. With sharding disabled, or with
-    /// a single shard, the bits equal the flat serial walk.
+    /// The CCA objective of `placement`:
+    /// [`CorrelationGraph::cost_sharded`] at this problem's shard count.
+    /// Identical for every `threads` value; with one shard (the default)
+    /// the bits equal the serial [`CorrelationGraph::cost`].
     ///
     /// # Panics
     ///
     /// Panics if the placement covers fewer objects than the problem.
     #[must_use]
     pub fn eval_cost(&self, placement: &Placement, threads: usize) -> f64 {
-        match &self.sharded {
-            Some(s) => s.cost(placement, threads),
-            None => self.graph.cost(placement),
-        }
+        self.graph.cost_sharded(placement, self.shards, threads)
     }
 
-    /// Batched candidate scoring, dispatched to the sharded view when
-    /// sharding is enabled, else the flat serial
-    /// [`CorrelationGraph::cost_batch`]. Column `c` is deterministic for
-    /// every `threads` value either way; with sharding disabled or a
-    /// single shard it is bit-identical to `cost(batch.placement(c))`.
+    /// Batched candidate scoring:
+    /// [`CorrelationGraph::cost_batch_sharded`] at this problem's shard
+    /// count. Column `c` bit-equals `eval_cost(batch.placement(c), _)` and
+    /// is identical for every `threads` value.
     ///
     /// # Panics
     ///
     /// Panics if the batch covers fewer objects than the problem.
     #[must_use]
     pub fn eval_cost_batch(&self, batch: &PlacementBatch, threads: usize) -> Vec<f64> {
-        match &self.sharded {
-            Some(s) => s.cost_batch(batch, threads),
-            None => self.graph.cost_batch(batch),
-        }
+        self.graph.cost_batch_sharded(batch, self.shards, threads)
     }
 
-    /// [`CorrelationGraph::move_delta`] via the sharded view when enabled
-    /// (a shard replicates the flat CSR row of each object it owns, so
-    /// the delta is bit-identical for **any** shard count), else the flat
-    /// row walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn eval_move_delta(&self, placement: &Placement, i: ObjectId, target: usize) -> f64 {
-        match &self.sharded {
-            Some(s) => s.move_delta(placement, i, target),
-            None => self.graph.move_delta(placement, i, target),
-        }
-    }
-
-    /// [`CorrelationGraph::move_delta_batch`] via the sharded view when
-    /// enabled (bit-identical for any shard count, as for
-    /// [`CcaProblem::eval_move_delta`]), else the flat row walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn eval_move_delta_batch(
-        &self,
-        placement: &Placement,
-        i: ObjectId,
-        targets: &[usize],
-    ) -> Vec<f64> {
-        match &self.sharded {
-            Some(s) => s.move_delta_batch(placement, i, targets),
-            None => self.graph.move_delta_batch(placement, i, targets),
-        }
-    }
-
-    /// Replica-aware cost via the sharded view when enabled
-    /// ([`ShardedGraph::cost_replicas`]), else the flat replica fold
-    /// ([`CorrelationGraph::cost_replicas`]). With `r = 1` both sides
-    /// fast-path to their single-copy walks, so this is bit-identical to
+    /// Replica-aware cost:
+    /// [`CorrelationGraph::cost_replicas_sharded`] at this problem's
+    /// shard count. With `r = 1` it is bit-identical to
     /// [`CcaProblem::eval_cost`] on the primary column.
     ///
     /// # Panics
@@ -339,30 +276,7 @@ impl CcaProblem {
     /// Panics if the placement covers fewer objects than the problem.
     #[must_use]
     pub fn eval_cost_replicas(&self, rp: &ReplicaPlacement, threads: usize) -> f64 {
-        match &self.sharded {
-            Some(s) => s.cost_replicas(rp, threads),
-            None => self.graph.cost_replicas(rp),
-        }
-    }
-
-    /// Replica-aware move delta via the sharded view when enabled
-    /// (bit-identical for any shard count), else the flat row walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i`, `j`, or `target` is out of range.
-    #[must_use]
-    pub fn eval_replica_move_delta(
-        &self,
-        rp: &ReplicaPlacement,
-        i: ObjectId,
-        j: usize,
-        target: usize,
-    ) -> f64 {
-        match &self.sharded {
-            Some(s) => s.replica_move_delta(rp, i, j, target),
-            None => self.graph.replica_move_delta(rp, i, j, target),
-        }
+        self.graph.cost_replicas_sharded(rp, self.shards, threads)
     }
 
     /// Secondary capacity constraints (paper 3.3); empty in the base
@@ -473,13 +387,6 @@ impl CcaProblem {
         // the new (a, b). Both the cost summation order and the LP column
         // order ride on this, so the graph is rebuilt over the list as-is.
         let graph = CorrelationGraph::build(keep.len(), &pairs);
-        // A sharded parent yields a sharded subproblem: same shard count,
-        // rebuilt over the restricted pair list (a pure function of it, so
-        // no thread pool is needed for the typically small subproblem).
-        let sharded = self
-            .sharded
-            .as_ref()
-            .map(|s| ShardedGraph::build(keep.len(), &pairs, s.shard_count(), 1));
         (
             CcaProblem {
                 names,
@@ -488,7 +395,7 @@ impl CcaProblem {
                 pairs,
                 resources: self.resources.iter().map(|r| r.restrict(keep)).collect(),
                 graph,
-                sharded,
+                shards: self.shards,
             },
             keep.to_vec(),
         )
@@ -521,8 +428,7 @@ impl CcaProblem {
         }
         self.pairs.sort_unstable_by(|x, y| {
             y.weight()
-                .partial_cmp(&x.weight())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&x.weight())
                 .then((x.a, x.b).cmp(&(y.a, y.b)))
         });
         let dropped = self.pairs.len() - max_pairs;
@@ -531,14 +437,6 @@ impl CcaProblem {
         // left them in (NOT re-sorted by (a, b)); rebuild the CSR view over
         // that exact order.
         self.graph = CorrelationGraph::build(self.sizes.len(), &self.pairs);
-        if let Some(s) = &self.sharded {
-            self.sharded = Some(ShardedGraph::build(
-                self.sizes.len(),
-                &self.pairs,
-                s.shard_count(),
-                1,
-            ));
-        }
         dropped
     }
 }
@@ -678,7 +576,7 @@ impl CcaProblemBuilder {
             pairs,
             resources: self.resources.clone(),
             graph,
-            sharded: None,
+            shards: 1,
         })
     }
 }
@@ -853,18 +751,18 @@ mod tests {
     }
 
     #[test]
-    fn eval_dispatch_matches_flat_graph_bits() {
+    fn eval_matches_flat_graph_bits() {
         let mut p = sample();
         let pl = Placement::new(vec![0, 1, 0], 2);
         let flat_cost = p.graph().cost(&pl);
-        // Disabled: eval_* are the flat walks.
+        // Unsharded: eval_* are the flat walks.
+        assert_eq!(p.shards(), 1);
         assert_eq!(p.eval_cost(&pl, 4).to_bits(), flat_cost.to_bits());
-        assert!(p.sharded().is_none());
-        // Enabled: same bits on this dyadic-weight instance, for any
+        // Sharded: same bits on this dyadic-weight instance, for any
         // shard count and thread count.
         for shards in [1, 2, 3] {
-            p.set_sharding(shards, 2);
-            assert_eq!(p.sharded().unwrap().shard_count(), shards);
+            p.set_sharding(shards);
+            assert_eq!(p.shards(), shards);
             assert_eq!(p.eval_cost(&pl, 1).to_bits(), flat_cost.to_bits());
             assert_eq!(p.eval_cost(&pl, 4).to_bits(), flat_cost.to_bits());
             let batch = PlacementBatch::from_placements(std::slice::from_ref(&pl));
@@ -872,45 +770,28 @@ mod tests {
                 p.eval_cost_batch(&batch, 2)[0].to_bits(),
                 p.graph().cost_batch(&batch)[0].to_bits()
             );
-            for i in 0..3 {
-                let i = ObjectId(i);
-                for target in 0..2 {
-                    assert_eq!(
-                        p.eval_move_delta(&pl, i, target).to_bits(),
-                        p.graph().move_delta(&pl, i, target).to_bits()
-                    );
-                }
-                assert_eq!(
-                    p.eval_move_delta_batch(&pl, i, &[0, 1]),
-                    p.graph().move_delta_batch(&pl, i, &[0, 1])
-                );
-            }
         }
-        p.clear_sharding();
-        assert!(p.sharded().is_none());
+        p.set_sharding(0);
+        assert_eq!(p.shards(), 1);
     }
 
     #[test]
     fn sharding_propagates_through_restrict_and_prune() {
         let mut p = sample();
-        p.set_sharding(2, 1);
+        p.set_sharding(2);
         let (sub, _) = p.restrict_to(&[ObjectId(2), ObjectId(0)]);
-        let sub_sharded = sub.sharded().expect("restrict_to must keep sharding");
-        assert_eq!(sub_sharded.shard_count(), 2);
-        assert_eq!(sub_sharded.num_objects(), 2);
-        assert_eq!(sub_sharded.num_edges(), sub.pairs().len());
+        assert_eq!(sub.shards(), 2, "restrict_to must keep sharding");
         let pl = Placement::new(vec![0, 1], 2);
         assert_eq!(
             sub.eval_cost(&pl, 2).to_bits(),
             sub.graph().cost(&pl).to_bits()
         );
         p.prune_pairs(1);
-        let pruned_sharded = p.sharded().expect("prune_pairs must keep sharding");
-        assert_eq!(pruned_sharded.shard_count(), 2);
-        assert_eq!(pruned_sharded.num_edges(), 1);
-        // An unsharded problem stays unsharded through both paths.
+        assert_eq!(p.shards(), 2, "prune_pairs must keep sharding");
+        assert_eq!(p.graph().num_edges(), 1);
+        // An unsharded problem stays unsharded.
         let q = sample();
-        assert!(q.restrict_to(&[ObjectId(0)]).0.sharded().is_none());
+        assert_eq!(q.restrict_to(&[ObjectId(0)]).0.shards(), 1);
     }
 
     #[test]

@@ -54,15 +54,6 @@ struct Repairer<'a> {
 }
 
 impl Repairer<'_> {
-    /// Cost changes of moving object `i` to each node in `targets`
-    /// (negative is an improvement) — one O(deg) CSR row walk scores them
-    /// all, each entry bit-equal to the per-target walk. Dispatched
-    /// through the problem so a sharded instance walks its shard row
-    /// (bit-identical to the flat row for any shard count).
-    fn move_delta_batch(&self, placement: &Placement, i: ObjectId, targets: &[usize]) -> Vec<f64> {
-        self.problem.eval_move_delta_batch(placement, i, targets)
-    }
-
     fn fits(&self, node: usize, extra: &[f64]) -> bool {
         self.loads[node]
             .iter()
@@ -197,7 +188,10 @@ impl Repairer<'_> {
             }
             fitting.clear();
             fitting.extend((0..n).filter(|&k| k != src && self.fits(k, demand)));
-            let deltas = self.move_delta_batch(placement, i, &fitting);
+            let deltas = self
+                .problem
+                .graph()
+                .move_delta_batch(placement, i, &fitting);
             for (&k, &delta) in fitting.iter().zip(&deltas) {
                 let score = delta / demand[0].max(1.0);
                 if best.is_none_or(|(bs, _, _)| score < bs) {
@@ -226,7 +220,10 @@ impl Repairer<'_> {
             // entry), with the same ascending-k strict-< winner.
             fitting.clear();
             fitting.extend((0..n).filter(|&k| k != src && self.fits(k, &demand)));
-            let deltas = self.move_delta_batch(placement, i, &fitting);
+            let deltas = self
+                .problem
+                .graph()
+                .move_delta_batch(placement, i, &fitting);
             let mut best: Option<(f64, usize)> = None;
             for (&k, &delta) in fitting.iter().zip(&deltas) {
                 if delta < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {

@@ -547,10 +547,9 @@ pub fn solve_resilient_with_faults(
             floor_overridden = true;
             let t = Instant::now();
             let p = random_hash_placement(problem);
-            // Batch-of-1 ≡ `cost` (DESIGN §10), so the emergency candidate
-            // goes through the same batched ranking path as the rungs.
-            let cost = problem
-                .eval_cost_batch(&PlacementBatch::from_placements(std::slice::from_ref(&p)), 1)[0];
+            // A batch column bit-equals `eval_cost` (DESIGN §10), so the
+            // emergency candidate scores as the rungs' batched ranking would.
+            let cost = problem.eval_cost(&p, 1);
             let feasible = p.within_all_capacities(problem, 1.0);
             attempts.push(RungAttempt {
                 rung: Rung::Hash,

@@ -162,12 +162,13 @@ fn cost_batch_columns_bit_equal_serial_cost() {
         });
 }
 
-/// The chunk-parallel batch walk returns the same bits for every thread
-/// count; these instances fit one edge chunk, so the bits also equal the
-/// serial batch walk exactly (the `-0.0` fold identity).
+/// The edge-range-sharded batch walk returns the same bits for every
+/// thread count; one shard is the serial batch walk, and on these dyadic
+/// instances every other shard count adds exactly, so the bits equal the
+/// serial batch walk throughout (the `-0.0` fold identity included).
 #[test]
-fn cost_batch_chunked_is_thread_and_chunk_invariant() {
-    Checker::new("cost_batch_chunked_is_thread_and_chunk_invariant")
+fn cost_batch_sharded_is_thread_and_shard_invariant() {
+    Checker::new("cost_batch_sharded_is_thread_and_shard_invariant")
         .cases(96)
         .regressions(REGRESSIONS)
         .run(batch_case, |c| {
@@ -175,15 +176,17 @@ fn cost_batch_chunked_is_thread_and_chunk_invariant() {
             let graph = p.graph();
             let batch = batch_of(&p, &candidates(c, &p));
             let serial = graph.cost_batch(&batch);
-            for threads in [1usize, 2, 4, 8] {
-                let chunked = graph.cost_batch_chunked(&batch, threads);
-                prop_assert_eq!(chunked.len(), serial.len());
-                for (i, (a, b)) in chunked.iter().zip(&serial).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "threads {threads}, column {i}: chunked {a} != serial {b}"
-                    );
+            for shards in [1usize, 2, 7] {
+                for threads in [1usize, 2, 4, 8] {
+                    let sharded = graph.cost_batch_sharded(&batch, shards, threads);
+                    prop_assert_eq!(sharded.len(), serial.len());
+                    for (i, (a, b)) in sharded.iter().zip(&serial).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "shards {shards}, threads {threads}, column {i}: sharded {a} != serial {b}"
+                        );
+                    }
                 }
             }
             Ok(())
@@ -354,8 +357,8 @@ fn wide_interleave_fallback_bit_equals_serial() {
         );
     }
     for threads in [1usize, 3] {
-        let chunked = graph.cost_batch_chunked(&batch, threads);
-        for (a, b) in chunked.iter().zip(&costs) {
+        let sharded = graph.cost_batch_sharded(&batch, 2, threads);
+        for (a, b) in sharded.iter().zip(&costs) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -1,9 +1,10 @@
 //! Million-object synthetic placement instances.
 //!
 //! The paper's workloads top out at the scale its traces cover; the
-//! sharded CSR (`cca-core`'s `ShardedGraph`) targets instances far past
-//! that — 10⁶ objects and 10⁷ correlated pairs. This module generates
-//! such instances directly as raw object/pair tables (bypassing the
+//! edge-range-sharded cost folds (`cca-core`'s
+//! `CcaProblem::set_sharding`) target instances far past that — 10⁶
+//! objects and 10⁷ correlated pairs. This module generates such
+//! instances directly as raw object/pair tables (bypassing the
 //! query-log machinery, which would need billions of queries to induce
 //! 10⁷ pairs), with the same distributional shape the trace generator
 //! produces:
@@ -37,8 +38,8 @@ pub struct RawPair {
 }
 
 /// A raw synthetic placement instance: object sizes plus correlated
-/// pairs, ready to feed `CorrelationGraph`/`ShardedGraph` builds (or a
-/// problem builder at smaller scales).
+/// pairs, ready to feed a `CorrelationGraph` build or a problem
+/// builder.
 #[derive(Debug, Clone)]
 pub struct ZipfInstance {
     /// Size (bytes) of each object; index is the object id.

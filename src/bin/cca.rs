@@ -159,7 +159,7 @@ fn usage() -> &'static str {
                               lprr|partial-lprr|greedy|hash (place only)\n\
        --threads N            worker threads for the solve (default: all\n\
                               cores; results are identical for any N)\n\
-       --shards N             evaluate costs on an N-shard graph view\n\
+       --shards N             fold costs over N edge ranges of the graph\n\
                               (place/probe; results are identical for\n\
                               any N, and --shards 1 equals no sharding)\n\
        --capacity-factor F    per-node capacity as a multiple of the\n\
@@ -321,11 +321,11 @@ fn build_pipeline(args: &Args) -> Result<Pipeline, String> {
     );
     let mut p = Pipeline::build(&config);
     if let Some(n) = args.shards {
-        // Bulk cost evaluation (rounding ranking, ladder ranking,
-        // migrate/repair scoring, probe candidate scoring via the scoped
-        // subproblem) runs shard-parallel; every result is bit-identical
-        // to the unsharded run on these dyadic-weight workloads.
-        p.problem.set_sharding(n, args.threads());
+        // Bulk cost evaluation (rounding ranking, ladder ranking, probe
+        // candidate scoring via the scoped subproblem) folds N edge
+        // ranges in parallel; every result is bit-identical to the
+        // unsharded run on these dyadic-weight workloads.
+        p.problem.set_sharding(n);
     }
     Ok(p)
 }

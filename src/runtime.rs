@@ -364,7 +364,7 @@ mod tests {
         cfg.seed = 9;
         let mut p = Pipeline::build(&cfg);
         if let Some(s) = shards {
-            p.problem.set_sharding(s, 2);
+            p.problem.set_sharding(s);
         }
         p
     }

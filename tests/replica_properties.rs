@@ -5,9 +5,9 @@
 //! Three contracts, each over randomized cases with shrinking:
 //!
 //! 1. **r=1 bit-identity** — with one copy and a flat tree,
-//!    `eval_cost_replicas` / `eval_replica_move_delta` return the same
-//!    bits as `eval_cost` / `eval_move_delta` for every thread count in
-//!    {1, 2, 8} and shard count in {unsharded, 1, 2, 7};
+//!    `eval_cost_replicas` / `replica_move_delta` return the same bits
+//!    as `eval_cost` / `move_delta` for every thread count in {1, 2, 8}
+//!    and shard count in {unsharded, 1, 2, 7};
 //! 2. **spread preservation** — `spread_copies`,
 //!    `improve_replicas_in_place` and `repair_replica_spread` all leave
 //!    no two copies of an object in one leaf domain (whenever enough
@@ -133,7 +133,7 @@ fn r1_cost_and_delta_are_bit_identical_across_threads_and_shards() {
             for shards in SHARDS {
                 let mut problem = base.clone();
                 if let Some(s) = shards {
-                    problem.set_sharding(s, 2);
+                    problem.set_sharding(s);
                 }
                 for threads in THREADS {
                     let single = problem.eval_cost(&placement, threads);
@@ -148,8 +148,8 @@ fn r1_cost_and_delta_are_bit_identical_across_threads_and_shards() {
                         multi
                     );
                 }
-                let single = problem.eval_move_delta(&placement, i, target);
-                let multi = problem.eval_replica_move_delta(&rp, i, 0, target);
+                let single = problem.graph().move_delta(&placement, i, target);
+                let multi = problem.graph().replica_move_delta(&rp, i, 0, target);
                 prop_assert_eq!(
                     single.to_bits(),
                     multi.to_bits(),

@@ -29,7 +29,7 @@ fn tiny_pipeline(shards: Option<usize>) -> Pipeline {
     cfg.seed = 9;
     let mut p = Pipeline::build(&cfg);
     if let Some(s) = shards {
-        p.problem.set_sharding(s, 2);
+        p.problem.set_sharding(s);
     }
     p
 }
