@@ -371,3 +371,185 @@ fn golden_serving_report_round_trips() {
     assert_eq!(parsed, out.report);
     assert!(parsed.counters_consistent());
 }
+
+/// Golden pin of the controller-report bytes, built from hand-set
+/// values: every counter, a non-dyadic float (`0.1 + 0.2`), a negative
+/// zero and `final_feasible false`. The codec must keep these exact
+/// bytes and read them back bit for bit.
+#[test]
+fn golden_controller_report_bytes() {
+    let report = cca::algo::ControllerReport {
+        epochs: 1_000,
+        queries: 64_000,
+        evaluated: 62,
+        migrations: 3,
+        objects_moved: 41,
+        migrated_bytes: 123_456,
+        rejected_not_worthwhile: 50,
+        rejected_not_robust: 9,
+        degradations: 1,
+        solve_retries: 2,
+        repairs: 1,
+        repair_retries: 0,
+        repair_moves: 17,
+        repair_bytes: 8_192,
+        node_losses: 1,
+        unrecovered_losses: 0,
+        accumulated_loss: -0.0,
+        final_cost: 0.1 + 0.2,
+        final_feasible: false,
+    };
+    let text = cca::algo::format_controller_report(&report);
+    let expected = "# cca-controller-report v1\n\
+        epochs\t1000\n\
+        queries\t64000\n\
+        evaluated\t62\n\
+        migrations\t3\n\
+        objects_moved\t41\n\
+        migrated_bytes\t123456\n\
+        rejected_not_worthwhile\t50\n\
+        rejected_not_robust\t9\n\
+        degradations\t1\n\
+        solve_retries\t2\n\
+        repairs\t1\n\
+        repair_retries\t0\n\
+        repair_moves\t17\n\
+        repair_bytes\t8192\n\
+        node_losses\t1\n\
+        unrecovered_losses\t0\n\
+        accumulated_loss\t-0\n\
+        final_cost\t0.30000000000000004\n\
+        final_feasible\tfalse\n";
+    assert_eq!(text, expected, "golden controller report drifted:\n{text}");
+    let parsed = cca::algo::read_controller_report(text.as_bytes()).expect("parseable report");
+    assert_eq!(parsed, report);
+    assert_eq!(parsed.accumulated_loss.to_bits(), (-0.0f64).to_bits());
+    assert_eq!(parsed.final_cost.to_bits(), (0.1f64 + 0.2).to_bits());
+}
+
+/// Golden pin of the live-report bytes, built from hand-set values with
+/// all three histogram row kinds (`bucket_pre`, `bucket_mid`,
+/// `bucket_post`) and `final_feasible false`.
+#[test]
+fn golden_live_report_bytes() {
+    let mut report = cca::algo::LiveReport {
+        epochs: 400,
+        queries: 25_600,
+        served: 24_000,
+        degraded: 600,
+        shed_admission: 900,
+        shed_overload: 60,
+        shed_deadline: 40,
+        executed_bytes: 9_876_543,
+        estimated_bytes: 54_321,
+        evaluated: 25,
+        migrations: 2,
+        abandoned_migrations: 1,
+        migration_epochs: 9,
+        migrated_bytes: 520_000,
+        max_epoch_migrated_bytes: 65_536,
+        migration_budget: 65_536,
+        pre_epochs: 150,
+        pre_queries: 9_000,
+        pre_executed_bytes: 4_000_000,
+        post_epochs: 200,
+        post_queries: 12_600,
+        post_executed_bytes: 3_876_543,
+        p50_ns: 65_535,
+        p95_ns: 131_071,
+        p99_ns: 262_143,
+        final_feasible: false,
+        digest: "b8eeaf2aa937b0b351101ce7dc36e65c".into(),
+        ..cca::algo::LiveReport::default()
+    };
+    report.pre_histogram.add_bucket(15, 8_000);
+    report.pre_histogram.add_bucket(16, 1_000);
+    report.mid_histogram.add_bucket(0, 1);
+    report.mid_histogram.add_bucket(17, 2_999);
+    report.post_histogram.add_bucket(14, 12_000);
+    report.post_histogram.add_bucket(64, 600);
+    let text = cca::algo::format_live_report(&report);
+    let expected = "# cca-live-report v1\n\
+        epochs\t400\n\
+        queries\t25600\n\
+        served\t24000\n\
+        degraded\t600\n\
+        shed_admission\t900\n\
+        shed_overload\t60\n\
+        shed_deadline\t40\n\
+        executed_bytes\t9876543\n\
+        estimated_bytes\t54321\n\
+        evaluated\t25\n\
+        migrations\t2\n\
+        abandoned_migrations\t1\n\
+        migration_epochs\t9\n\
+        migrated_bytes\t520000\n\
+        max_epoch_migrated_bytes\t65536\n\
+        migration_budget\t65536\n\
+        pre_epochs\t150\n\
+        pre_queries\t9000\n\
+        pre_executed_bytes\t4000000\n\
+        post_epochs\t200\n\
+        post_queries\t12600\n\
+        post_executed_bytes\t3876543\n\
+        p50_ns\t65535\n\
+        p95_ns\t131071\n\
+        p99_ns\t262143\n\
+        final_feasible\tfalse\n\
+        digest\tb8eeaf2aa937b0b351101ce7dc36e65c\n\
+        bucket_pre\t15\t8000\n\
+        bucket_pre\t16\t1000\n\
+        bucket_mid\t0\t1\n\
+        bucket_mid\t17\t2999\n\
+        bucket_post\t14\t12000\n\
+        bucket_post\t64\t600\n";
+    assert_eq!(text, expected, "golden live report drifted:\n{text}");
+    let parsed = cca::algo::read_live_report(text.as_bytes()).expect("parseable report");
+    assert_eq!(parsed, report);
+}
+
+/// The 4-object problem the placement pins are written against.
+fn four_object_problem() -> cca::algo::CcaProblem {
+    let mut b = cca::algo::CcaProblem::builder();
+    for (name, size) in [("alpha", 10), ("beta", 20), ("gamma", 30), ("delta", 40)] {
+        b.add_object(name, size);
+    }
+    b.uniform_capacities(4, 1_000).build().expect("valid problem")
+}
+
+/// Golden pin of a single-copy (`v1`) placement file.
+#[test]
+fn golden_placement_bytes() {
+    let problem = four_object_problem();
+    let placement = cca::algo::Placement::new(vec![3, 0, 2, 0], 4);
+    let text = cca::algo::format_placement(&problem, &placement);
+    let expected = "# cca-placement v1 nodes=4 objects=4\n\
+        alpha\t3\n\
+        beta\t0\n\
+        gamma\t2\n\
+        delta\t0\n";
+    assert_eq!(text, expected, "golden placement drifted:\n{text}");
+    let parsed = cca::algo::read_placement(text.as_bytes(), &problem).expect("parseable");
+    assert_eq!(parsed, placement);
+}
+
+/// Golden pin of an `r = 3` (`v2`) replica placement file.
+#[test]
+fn golden_replica_placement_bytes() {
+    let problem = four_object_problem();
+    let rp = cca::algo::ReplicaPlacement::from_columns(vec![
+        cca::algo::Placement::new(vec![3, 0, 2, 1], 4),
+        cca::algo::Placement::new(vec![0, 1, 3, 2], 4),
+        cca::algo::Placement::new(vec![1, 2, 0, 3], 4),
+    ]);
+    let text = cca::algo::format_replica_placement(&problem, &rp);
+    let expected = "# cca-placement v2 nodes=4 objects=4 replicas=3\n\
+        alpha\t3\t0\t1\n\
+        beta\t0\t1\t2\n\
+        gamma\t2\t3\t0\n\
+        delta\t1\t2\t3\n";
+    assert_eq!(text, expected, "golden replica placement drifted:\n{text}");
+    let parsed =
+        cca::algo::read_replica_placement(text.as_bytes(), &problem).expect("parseable");
+    assert_eq!(parsed, rp);
+}
