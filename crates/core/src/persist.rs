@@ -1,52 +1,52 @@
-//! Plain-text persistence for placements and controller reports.
+//! Plain-text persistence for placements and reports: one placement
+//! codec and one report codec.
 //!
-//! Placement format (`# cca-placement v1`): one `object-name<TAB>node`
-//! line per object, in object-id order. Names make the file robust
-//! against object reordering between the writing and reading problem
-//! instances: loading matches by name, not by position.
+//! Placement format (`# cca-placement`): a header, then one line per
+//! object in object-id order holding the object name followed by its
+//! `r` nodes (primary first), TAB-separated. The header
+//! `v1 nodes=N objects=M` is the single-copy case `r = 1`;
+//! `v2 nodes=N objects=M replicas=R` carries `r = R` columns. A line's
+//! last `r` fields are its nodes and everything before them is the
+//! name, so names may contain TABs. Loading matches objects by name, not
+//! by position, so a file survives reordering between the writing and
+//! reading problem instances.
 //!
-//! Controller-report format (`# cca-controller-report v1`): one
-//! `key<TAB>value` line per [`ControllerReport`] field in declaration
-//! order. Floats round-trip through Rust's shortest exact decimal
-//! `Display`, so a written report re-reads bit for bit.
-//!
-//! Serving-report format (`# cca-serving-report v1`): one
-//! `key<TAB>value` line per scalar [`ServingReport`] field in
-//! declaration order, then one `bucket<TAB>i<TAB>count` line per
-//! non-empty histogram bucket in ascending bucket order. Every value is
-//! a `u64` or a hex digest (the histogram's dyadic bucket bounds are the
-//! reason the quantiles are integers), so the round trip is bit-exact
-//! by construction.
-//!
-//! Live-report format (`# cca-live-report v1`): the same framing with
-//! [`LiveReport`]'s scalar fields and **three** histogram row kinds
-//! (`bucket_pre`/`bucket_mid`/`bucket_post`) for the latency split
-//! around the migration window.
-//!
-//! All three report formats share one framing layer (header check,
-//! `key<TAB>value` scalars, repeated histogram rows, line-numbered
-//! errors); the per-format functions only choose keys and field types.
+//! Report formats (`# cca-controller-report v1`, `# cca-serving-report
+//! v1`, `# cca-live-report v1`): one `key<TAB>value` line per scalar
+//! field in table order, then one `row-key<TAB>index<TAB>count` line per
+//! non-empty histogram bucket, in ascending bucket order per row kind.
+//! Each report is declared once, as a single ordered field table given
+//! to `report_codec!`, which generates its writer and reader over the
+//! shared framing below. Floats round-trip through Rust's shortest exact
+//! decimal `Display`, so a written report re-reads bit for bit.
 
 use crate::controller::ControllerReport;
 use crate::placement::Placement;
-use crate::problem::CcaProblem;
+use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::ReplicaPlacement;
 use crate::serving::{LatencyHistogram, LiveReport, ServingReport, NUM_BUCKETS};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
+use std::str::FromStr;
 
-/// Error from [`read_placement`].
+/// Error from every reader in this module.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The input is not a valid v1 placement for the given problem.
+    /// The input is malformed or does not match the given problem.
     Format {
         /// 1-based line number (0 for whole-file problems).
         line: usize,
         /// Description of the problem.
         message: String,
+    },
+    /// A replica placement (`replicas > 1`) was read as a single-copy
+    /// placement; [`read_replica_placement`] reads it.
+    Replicated {
+        /// Copies per object the file's header declares.
+        replicas: usize,
     },
 }
 
@@ -55,6 +55,10 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "i/o error: {e}"),
             PersistError::Format { line, message } => write!(f, "line {line}: {message}"),
+            PersistError::Replicated { replicas } => write!(
+                f,
+                "line 1: placement has {replicas} copies per object, expected 1"
+            ),
         }
     }
 }
@@ -63,7 +67,7 @@ impl std::error::Error for PersistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PersistError::Io(e) => Some(e),
-            PersistError::Format { .. } => None,
+            PersistError::Format { .. } | PersistError::Replicated { .. } => None,
         }
     }
 }
@@ -74,85 +78,170 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Serialises `placement` against `problem` (names come from the problem).
+fn format_error(line: usize, message: impl Into<String>) -> PersistError {
+    PersistError::Format {
+        line,
+        message: message.into(),
+    }
+}
+
+/// Serialises `placement` against `problem` (names come from the
+/// problem) in the single-copy `v1` format.
 ///
 /// # Panics
 ///
 /// Panics if the dimensions disagree.
 #[must_use]
 pub fn format_placement(problem: &CcaProblem, placement: &Placement) -> String {
-    assert_eq!(placement.num_objects(), problem.num_objects());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cca-placement v1 nodes={} objects={}",
-        placement.num_nodes(),
-        placement.num_objects()
-    );
-    for o in problem.objects() {
-        let _ = writeln!(out, "{}\t{}", problem.name(o), placement.node_of(o));
-    }
-    out
+    format_columns(problem, std::slice::from_ref(placement))
 }
 
-/// Writes a placement in the v1 text format.
+/// Reads a single-copy placement and matches it against `problem` by
+/// object name.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
-pub fn write_placement<W: Write>(
-    mut writer: W,
-    problem: &CcaProblem,
-    placement: &Placement,
-) -> Result<(), PersistError> {
-    writer.write_all(format_placement(problem, placement).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 placement and matches it against `problem` by object name.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown or missing object names, duplicate
-/// names (in the file or the problem), or nodes out of range.
+/// Fails on malformed input, a header whose node or object count is not
+/// the problem's, unknown or missing object names, duplicate names (in
+/// the file or the problem), or nodes out of range. A replica placement
+/// (`replicas > 1`) fails with [`PersistError::Replicated`].
 pub fn read_placement<R: Read>(
     reader: R,
     problem: &CcaProblem,
 ) -> Result<Placement, PersistError> {
+    let mut columns = read_columns(reader, problem, 1)?;
+    Ok(columns.remove(0))
+}
+
+/// Serialises a replica placement: the `v1` format for `r = 1` (so it is
+/// byte-identical to [`format_placement`] on the primary column), the
+/// `v2 … replicas=r` format otherwise.
+///
+/// # Panics
+///
+/// Panics if the dimensions disagree.
+#[must_use]
+pub fn format_replica_placement(problem: &CcaProblem, rp: &ReplicaPlacement) -> String {
+    format_columns(problem, rp.columns())
+}
+
+/// Reads a placement with any number of copies: a `v1` file loads as the
+/// `r = 1` replica placement, a `v2` file loads all `r` columns.
+///
+/// # Errors
+///
+/// Fails as [`read_placement`] does, and on a `replicas=` count that is 0
+/// or exceeds the node count (copies of one object sit on distinct
+/// nodes).
+pub fn read_replica_placement<R: Read>(
+    reader: R,
+    problem: &CcaProblem,
+) -> Result<ReplicaPlacement, PersistError> {
+    Ok(ReplicaPlacement::from_columns(read_columns(
+        reader,
+        problem,
+        usize::MAX,
+    )?))
+}
+
+/// The one placement writer: `columns` holds one [`Placement`] per copy,
+/// primary first.
+fn format_columns(problem: &CcaProblem, columns: &[Placement]) -> String {
+    let (primary, r) = (&columns[0], columns.len());
+    assert_eq!(primary.num_objects(), problem.num_objects());
+    let mut out = format!(
+        "# cca-placement v{} nodes={} objects={}",
+        if r == 1 { 1 } else { 2 },
+        primary.num_nodes(),
+        primary.num_objects()
+    );
+    if r > 1 {
+        let _ = write!(out, " replicas={r}");
+    }
+    out.push('\n');
+    for o in problem.objects() {
+        out.push_str(problem.name(o));
+        for column in columns {
+            let _ = write!(out, "\t{}", column.node_of(o));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Parses a placement header against `problem` into its copy count.
+/// The node and object counts must be the problem's, and the copy count
+/// is bounded by the node count before anything is allocated from it.
+fn parse_placement_header(header: &str, problem: &CcaProblem) -> Result<usize, PersistError> {
+    let bad = |what: &str| format_error(1, format!("{what} in header {header:?}"));
+    let mut tokens = header
+        .strip_prefix("# cca-placement ")
+        .ok_or_else(|| bad("unknown format"))?
+        .split_whitespace();
+    let version = tokens.next();
+    let mut count = |key: &str| {
+        tokens
+            .next()
+            .and_then(|t| t.strip_prefix(key)?.parse::<usize>().ok())
+            .ok_or_else(|| bad(&format!("bad {key} field")))
+    };
+    let nodes = count("nodes=")?;
+    let objects = count("objects=")?;
+    let replicas = match version {
+        Some("v1") => 1,
+        Some("v2") => count("replicas=")?,
+        _ => return Err(bad("unknown version")),
+    };
+    if tokens.next().is_some() {
+        return Err(bad("trailing fields"));
+    }
+    if nodes != problem.num_nodes() {
+        let n = problem.num_nodes();
+        return Err(bad(&format!("nodes={nodes} is not the problem's {n} nodes")));
+    }
+    if objects != problem.num_objects() {
+        let m = problem.num_objects();
+        return Err(bad(&format!("objects={objects} is not the problem's {m} objects")));
+    }
+    if replicas == 0 || replicas > nodes {
+        return Err(bad(&format!("replicas={replicas} outside 1..={nodes}")));
+    }
+    Ok(replicas)
+}
+
+/// The one placement reader: the file's columns, primary first, matched
+/// to `problem` by object name. A file with more than `max_replicas`
+/// copies fails with [`PersistError::Replicated`] before any line is read.
+fn read_columns<R: Read>(
+    reader: R,
+    problem: &CcaProblem,
+    max_replicas: usize,
+) -> Result<Vec<Placement>, PersistError> {
     let mut lines = BufReader::new(reader).lines();
-    let header = lines.next().transpose()?.ok_or(PersistError::Format {
-        line: 1,
-        message: "empty input".into(),
-    })?;
-    let rest = header
-        .strip_prefix("# cca-placement v1 nodes=")
-        .ok_or(PersistError::Format {
-            line: 1,
-            message: format!("bad header {header:?}"),
-        })?;
-    let nodes: usize = rest
-        .split_whitespace()
+    let header = lines
         .next()
-        .and_then(|n| n.parse().ok())
-        .ok_or(PersistError::Format {
-            line: 1,
-            message: format!("bad node count in header {header:?}"),
-        })?;
+        .transpose()?
+        .ok_or_else(|| format_error(1, "empty input"))?;
+    let replicas = parse_placement_header(&header, problem)?;
+    if replicas > max_replicas {
+        return Err(PersistError::Replicated { replicas });
+    }
+    let nodes = problem.num_nodes();
 
     let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
     for o in problem.objects() {
         if by_name.insert(problem.name(o), o.index()).is_some() {
-            return Err(PersistError::Format {
-                line: 0,
-                message: format!(
+            return Err(format_error(
+                0,
+                format!(
                     "problem has duplicate object name {:?}; name-keyed loading is ambiguous",
                     problem.name(o)
                 ),
-            });
+            ));
         }
     }
 
-    let mut assignment = vec![u32::MAX; problem.num_objects()];
+    let mut columns = vec![vec![u32::MAX; problem.num_objects()]; replicas];
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
@@ -160,210 +249,59 @@ pub fn read_placement<R: Read>(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let (name, node_str) = trimmed.rsplit_once('\t').ok_or(PersistError::Format {
-            line: line_no,
-            message: "expected name<TAB>node".into(),
-        })?;
-        let node: usize = node_str.trim().parse().map_err(|_| PersistError::Format {
-            line: line_no,
-            message: format!("invalid node {node_str:?}"),
-        })?;
-        if node >= nodes {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("node {node} out of range (< {nodes})"),
-            });
+        // The last `replicas` fields are nodes (last copy first); the
+        // remainder, TABs included, is the name.
+        let fields: Vec<&str> = trimmed.rsplitn(replicas + 1, '\t').collect();
+        if fields.len() != replicas + 1 {
+            return Err(format_error(
+                line_no,
+                format!("expected name then {replicas} TAB-separated nodes"),
+            ));
         }
-        let &idx = by_name.get(name).ok_or(PersistError::Format {
-            line: line_no,
-            message: format!("unknown object {name:?}"),
-        })?;
-        if assignment[idx] != u32::MAX {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("object {name:?} assigned twice"),
-            });
-        }
-        assignment[idx] = node as u32;
-    }
-    if let Some(missing) = assignment.iter().position(|&a| a == u32::MAX) {
-        return Err(PersistError::Format {
-            line: 0,
-            message: format!(
-                "object {:?} has no assignment",
-                problem.name(crate::problem::ObjectId(missing as u32))
-            ),
-        });
-    }
-    Ok(Placement::new(assignment, nodes))
-}
-
-/// Serialises a replica placement. With `r = 1` this is **byte-identical**
-/// to [`format_placement`] on the primary column (the `v1` format); with
-/// `r > 1` the header becomes `# cca-placement v2 … replicas=r` and every
-/// line carries `r` tab-separated nodes (primary first).
-///
-/// # Panics
-///
-/// Panics if the dimensions disagree.
-#[must_use]
-pub fn format_replica_placement(problem: &CcaProblem, rp: &ReplicaPlacement) -> String {
-    if rp.replicas() == 1 {
-        return format_placement(problem, rp.primary());
-    }
-    assert_eq!(rp.num_objects(), problem.num_objects());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cca-placement v2 nodes={} objects={} replicas={}",
-        rp.num_nodes(),
-        rp.num_objects(),
-        rp.replicas()
-    );
-    for o in problem.objects() {
-        let _ = write!(out, "{}", problem.name(o));
-        for j in 0..rp.replicas() {
-            let _ = write!(out, "\t{}", rp.node_of(o, j));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes a replica placement (`v1` framing for `r = 1`, `v2` otherwise).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_replica_placement<W: Write>(
-    mut writer: W,
-    problem: &CcaProblem,
-    rp: &ReplicaPlacement,
-) -> Result<(), PersistError> {
-    writer.write_all(format_replica_placement(problem, rp).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a placement in either framing: a `v1` file loads as an `r = 1`
-/// replica placement (exactly [`read_placement`]), a `v2` file loads all
-/// `r` columns and matches objects by name.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/missing/duplicate object names, or
-/// nodes out of range.
-pub fn read_replica_placement<R: Read>(
-    mut reader: R,
-    problem: &CcaProblem,
-) -> Result<ReplicaPlacement, PersistError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    if !text.starts_with("# cca-placement v2 ") {
-        return Ok(ReplicaPlacement::from_primary(read_placement(
-            text.as_bytes(),
-            problem,
-        )?));
-    }
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
-    let parse_field = |key: &str| -> Result<usize, PersistError> {
-        header
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(key))
-            .and_then(|v| v.parse().ok())
-            .ok_or(PersistError::Format {
-                line: 1,
-                message: format!("bad {key} field in header {header:?}"),
-            })
-    };
-    let nodes = parse_field("nodes=")?;
-    let replicas = parse_field("replicas=")?;
-    if replicas == 0 || nodes == 0 {
-        return Err(PersistError::Format {
-            line: 1,
-            message: format!("degenerate header {header:?}"),
-        });
-    }
-    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
-    for o in problem.objects() {
-        if by_name.insert(problem.name(o), o.index()).is_some() {
-            return Err(PersistError::Format {
-                line: 0,
-                message: format!(
-                    "problem has duplicate object name {:?}; name-keyed loading is ambiguous",
-                    problem.name(o)
-                ),
-            });
-        }
-    }
-    let mut columns = vec![vec![u32::MAX; problem.num_objects()]; replicas];
-    for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut fields = trimmed.split('\t');
-        let name = fields.next().unwrap_or_default();
-        let &idx = by_name.get(name).ok_or(PersistError::Format {
-            line: line_no,
-            message: format!("unknown object {name:?}"),
-        })?;
+        let name = fields[replicas];
+        let &idx = by_name
+            .get(name)
+            .ok_or_else(|| format_error(line_no, format!("unknown object {name:?}")))?;
         if columns[0][idx] != u32::MAX {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("object {name:?} assigned twice"),
-            });
+            return Err(format_error(line_no, format!("object {name:?} assigned twice")));
         }
-        for column in columns.iter_mut() {
-            let node_str = fields.next().ok_or(PersistError::Format {
-                line: line_no,
-                message: format!("expected {replicas} replica nodes"),
-            })?;
-            let node: usize = node_str.trim().parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid node {node_str:?}"),
-            })?;
+        for (column, node_str) in columns.iter_mut().zip(fields[..replicas].iter().rev()) {
+            let node: usize = node_str
+                .trim()
+                .parse()
+                .map_err(|_| format_error(line_no, format!("invalid node {node_str:?}")))?;
             if node >= nodes {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("node {node} out of range (< {nodes})"),
-                });
+                return Err(format_error(
+                    line_no,
+                    format!("node {node} out of range (< {nodes})"),
+                ));
             }
             column[idx] = node as u32;
         }
-        if fields.next().is_some() {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("more than {replicas} replica nodes"),
-            });
-        }
     }
     if let Some(missing) = columns[0].iter().position(|&a| a == u32::MAX) {
-        return Err(PersistError::Format {
-            line: 0,
-            message: format!(
+        return Err(format_error(
+            0,
+            format!(
                 "object {:?} has no assignment",
-                problem.name(crate::problem::ObjectId(missing as u32))
+                problem.name(ObjectId(missing as u32))
             ),
-        });
+        ));
     }
-    Ok(ReplicaPlacement::from_columns(
-        columns
-            .into_iter()
-            .map(|assignment| Placement::new(assignment, nodes))
-            .collect(),
-    ))
+    Ok(columns
+        .into_iter()
+        .map(|assignment| Placement::new(assignment, nodes))
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
 // Shared `# cca-*-report v1` framing
 //
 // Every report format is the same line discipline: a fixed header, one
-// `key<TAB>value` line per scalar field in declaration order, then zero
-// or more repeated histogram rows (`<row-key><TAB>index<TAB>count`,
-// ascending index). The writer and parser below are that discipline,
-// factored once; the per-format functions are thin typed shells.
+// `key<TAB>value` line per scalar field in table order, then zero or
+// more repeated histogram rows (`<row-key><TAB>index<TAB>count`,
+// ascending index). The writer and parser below are that discipline;
+// `report_codec!` binds a report's field table to them.
 // ---------------------------------------------------------------------------
 
 /// Writer half of the shared framing: accumulates the header, scalar
@@ -383,8 +321,8 @@ impl ReportWriter {
         let _ = writeln!(self.out, "{key}\t{value}");
     }
 
-    fn buckets(&mut self, key: &str, histogram: &LatencyHistogram) {
-        for (i, count) in histogram.nonempty() {
+    fn buckets(&mut self, key: &str, h: &LatencyHistogram) {
+        for (i, count) in h.nonempty() {
             let _ = writeln!(self.out, "{key}\t{i}\t{count}");
         }
     }
@@ -410,15 +348,12 @@ fn parse_framed<R: Read>(
     row_keys: &[&str],
 ) -> Result<ParsedReport, PersistError> {
     let mut lines = BufReader::new(reader).lines();
-    let header = lines.next().transpose()?.ok_or(PersistError::Format {
-        line: 1,
-        message: "empty input".into(),
-    })?;
+    let header = lines
+        .next()
+        .transpose()?
+        .ok_or_else(|| format_error(1, "empty input"))?;
     if header.trim() != header_want {
-        return Err(PersistError::Format {
-            line: 1,
-            message: format!("bad header {header:?}"),
-        });
+        return Err(format_error(1, format!("bad header {header:?}")));
     }
     let mut values: HashMap<String, String> = HashMap::new();
     let mut rows: HashMap<String, LatencyHistogram> = HashMap::new();
@@ -430,412 +365,201 @@ fn parse_framed<R: Read>(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let (key, value) = trimmed.split_once('\t').ok_or(PersistError::Format {
-            line: line_no,
-            message: "expected key<TAB>value".into(),
-        })?;
+        let (key, value) = trimmed
+            .split_once('\t')
+            .ok_or_else(|| format_error(line_no, "expected key<TAB>value"))?;
         if let Some(&row_key) = row_keys.iter().find(|&&r| r == key) {
-            let (idx, count) = value.split_once('\t').ok_or(PersistError::Format {
-                line: line_no,
-                message: format!("expected {row_key}<TAB>index<TAB>count"),
+            let (idx, count) = value.split_once('\t').ok_or_else(|| {
+                format_error(line_no, format!("expected {row_key}<TAB>index<TAB>count"))
             })?;
-            let idx: usize = idx.parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid bucket index {idx:?}"),
-            })?;
+            let idx: usize = idx
+                .parse()
+                .map_err(|_| format_error(line_no, format!("invalid bucket index {idx:?}")))?;
             if idx >= NUM_BUCKETS {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("bucket {idx} out of range (< {NUM_BUCKETS})"),
-                });
+                return Err(format_error(
+                    line_no,
+                    format!("bucket {idx} out of range (< {NUM_BUCKETS})"),
+                ));
             }
             let seen = seen_buckets.entry(row_key).or_default();
             if seen.contains(&idx) {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("duplicate bucket {idx}"),
-                });
+                return Err(format_error(line_no, format!("duplicate bucket {idx}")));
             }
             seen.push(idx);
-            let count: u64 = count.parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid bucket count {count:?}"),
-            })?;
+            let count: u64 = count
+                .parse()
+                .map_err(|_| format_error(line_no, format!("invalid bucket count {count:?}")))?;
             rows.entry(row_key.to_string())
                 .or_default()
                 .add_bucket(idx, count);
             continue;
         }
         if !scalar_keys.contains(&key) {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("unknown key {key:?}"),
-            });
+            return Err(format_error(line_no, format!("unknown key {key:?}")));
         }
         if values.insert(key.to_string(), value.to_string()).is_some() {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("duplicate key {key:?}"),
-            });
+            return Err(format_error(line_no, format!("duplicate key {key:?}")));
         }
     }
     Ok(ParsedReport { values, rows })
 }
 
 impl ParsedReport {
-    fn get(&self, key: &str) -> Result<&String, PersistError> {
-        self.values.get(key).ok_or(PersistError::Format {
-            line: 0,
-            message: format!("missing key {key:?}"),
-        })
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, PersistError> {
-        self.get(key)?.parse().map_err(|_| PersistError::Format {
-            line: 0,
-            message: format!("invalid integer for {key:?}"),
-        })
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, PersistError> {
-        self.get(key)?.parse().map_err(|_| PersistError::Format {
-            line: 0,
-            message: format!("invalid number for {key:?}"),
-        })
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, PersistError> {
-        match self.get(key)?.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(PersistError::Format {
-                line: 0,
-                message: format!("invalid bool {other:?} for {key:?}"),
-            }),
+    /// The scalar under `key`, parsed as the field's type. Only the text
+    /// the writer would emit for the parsed value is accepted (so
+    /// `18446744073709551616` is not an `f64`: it writes as
+    /// `18446744073709552000`), so an accepted value re-formats to the
+    /// text it was read from.
+    fn get<T: FromStr + std::fmt::Display>(&self, key: &str) -> Result<T, PersistError> {
+        let value = self
+            .values
+            .get(key)
+            .ok_or_else(|| format_error(0, format!("missing key {key:?}")))?;
+        match value.parse::<T>() {
+            Ok(parsed) if parsed.to_string() == *value => Ok(parsed),
+            _ => Err(format_error(
+                0,
+                format!(
+                    "invalid {} {value:?} for {key:?}",
+                    std::any::type_name::<T>()
+                ),
+            )),
         }
     }
 
-    fn string(&self, key: &str) -> Result<String, PersistError> {
-        Ok(self.get(key)?.clone())
-    }
-
-    fn histogram(&mut self, row_key: &str) -> LatencyHistogram {
-        self.rows.remove(row_key).unwrap_or_default()
+    /// The histogram collected under `row_key` (empty if it had no rows).
+    fn row(&self, row_key: &str) -> LatencyHistogram {
+        self.rows.get(row_key).cloned().unwrap_or_default()
     }
 }
 
-/// Field order of the v1 controller-report format (also the write order).
-const REPORT_KEYS: [&str; 19] = [
-    "epochs",
-    "queries",
-    "evaluated",
-    "migrations",
-    "objects_moved",
-    "migrated_bytes",
-    "rejected_not_worthwhile",
-    "rejected_not_robust",
-    "degradations",
-    "solve_retries",
-    "repairs",
-    "repair_retries",
-    "repair_moves",
-    "repair_bytes",
-    "node_losses",
-    "unrecovered_losses",
-    "accumulated_loss",
-    "final_cost",
-    "final_feasible",
-];
+/// Declares one report's text codec from a single ordered field table:
+/// `field: type` scalars (`u64 | f64 | bool | String`) in write order,
+/// then optional `rows { row_key => histogram_field }` entries. It
+/// generates the public writer and reader over the shared framing; the
+/// reader builds the report with an exhaustive struct literal, so a
+/// report field missing from its table fails to compile.
+macro_rules! report_codec {
+    (
+        $report:ident, $header:literal, $format:ident, $read:ident,
+        { $($key:ident: $ty:ty),* $(,)? }
+        $(rows { $($row:ident => $hist:ident),* $(,)? })?
+    ) => {
+        #[doc = concat!(
+            "Serialises a [`", stringify!($report), "`] in the `", $header, "` format."
+        )]
+        #[must_use]
+        pub fn $format(report: &$report) -> String {
+            let mut w = ReportWriter::new($header);
+            $(w.field(stringify!($key), &report.$key);)*
+            $($(w.buckets(stringify!($row), &report.$hist);)*)?
+            w.finish()
+        }
 
-/// Serialises a [`ControllerReport`] in the v1 text format.
-#[must_use]
-pub fn format_controller_report(report: &ControllerReport) -> String {
-    let mut w = ReportWriter::new("# cca-controller-report v1");
-    let u = [
-        report.epochs,
-        report.queries,
-        report.evaluated,
-        report.migrations,
-        report.objects_moved,
-        report.migrated_bytes,
-        report.rejected_not_worthwhile,
-        report.rejected_not_robust,
-        report.degradations,
-        report.solve_retries,
-        report.repairs,
-        report.repair_retries,
-        report.repair_moves,
-        report.repair_bytes,
-        report.node_losses,
-        report.unrecovered_losses,
-    ];
-    for (key, value) in REPORT_KEYS.iter().zip(u) {
-        w.field(key, value);
+        #[doc = concat!("Reads a [`", stringify!($report), "`] in the `", $header, "` format.")]
+        ///
+        /// # Errors
+        ///
+        /// Fails on malformed input, unknown/duplicate/missing keys,
+        /// bucket indices out of range, or unparsable values.
+        pub fn $read<R: Read>(reader: R) -> Result<$report, PersistError> {
+            let p = parse_framed(
+                reader,
+                $header,
+                &[$(stringify!($key)),*],
+                &[$($(stringify!($row)),*)?],
+            )?;
+            Ok($report {
+                $($key: p.get::<$ty>(stringify!($key))?,)*
+                $($($hist: p.row(stringify!($row)),)*)?
+            })
+        }
+    };
+}
+
+report_codec! {
+    ControllerReport, "# cca-controller-report v1",
+    format_controller_report, read_controller_report,
+    {
+        epochs: u64,
+        queries: u64,
+        evaluated: u64,
+        migrations: u64,
+        objects_moved: u64,
+        migrated_bytes: u64,
+        rejected_not_worthwhile: u64,
+        rejected_not_robust: u64,
+        degradations: u64,
+        solve_retries: u64,
+        repairs: u64,
+        repair_retries: u64,
+        repair_moves: u64,
+        repair_bytes: u64,
+        node_losses: u64,
+        unrecovered_losses: u64,
+        accumulated_loss: f64,
+        final_cost: f64,
+        final_feasible: bool,
     }
-    w.field("accumulated_loss", report.accumulated_loss);
-    w.field("final_cost", report.final_cost);
-    w.field("final_feasible", report.final_feasible);
-    w.finish()
 }
 
-/// Writes a controller report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_controller_report<W: Write>(
-    mut writer: W,
-    report: &ControllerReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_controller_report(report).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 controller report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, or
-/// unparsable values.
-pub fn read_controller_report<R: Read>(reader: R) -> Result<ControllerReport, PersistError> {
-    let p = parse_framed(reader, "# cca-controller-report v1", &REPORT_KEYS, &[])?;
-    Ok(ControllerReport {
-        epochs: p.u64("epochs")?,
-        queries: p.u64("queries")?,
-        evaluated: p.u64("evaluated")?,
-        migrations: p.u64("migrations")?,
-        objects_moved: p.u64("objects_moved")?,
-        migrated_bytes: p.u64("migrated_bytes")?,
-        rejected_not_worthwhile: p.u64("rejected_not_worthwhile")?,
-        rejected_not_robust: p.u64("rejected_not_robust")?,
-        degradations: p.u64("degradations")?,
-        solve_retries: p.u64("solve_retries")?,
-        repairs: p.u64("repairs")?,
-        repair_retries: p.u64("repair_retries")?,
-        repair_moves: p.u64("repair_moves")?,
-        repair_bytes: p.u64("repair_bytes")?,
-        node_losses: p.u64("node_losses")?,
-        unrecovered_losses: p.u64("unrecovered_losses")?,
-        accumulated_loss: p.f64("accumulated_loss")?,
-        final_cost: p.f64("final_cost")?,
-        final_feasible: p.bool("final_feasible")?,
-    })
-}
-
-/// Field order of the v1 serving-report format (also the write order);
-/// `bucket` lines follow the scalar fields.
-const SERVING_KEYS: [&str; 12] = [
-    "queries",
-    "served",
-    "degraded",
-    "shed_admission",
-    "shed_overload",
-    "shed_deadline",
-    "executed_bytes",
-    "estimated_bytes",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "digest",
-];
-
-/// Serialises a [`ServingReport`] in the v1 text format.
-#[must_use]
-pub fn format_serving_report(report: &ServingReport) -> String {
-    let mut w = ReportWriter::new("# cca-serving-report v1");
-    let u = [
-        report.queries,
-        report.served,
-        report.degraded,
-        report.shed_admission,
-        report.shed_overload,
-        report.shed_deadline,
-        report.executed_bytes,
-        report.estimated_bytes,
-        report.p50_ns,
-        report.p95_ns,
-        report.p99_ns,
-    ];
-    for (key, value) in SERVING_KEYS.iter().zip(u) {
-        w.field(key, value);
+report_codec! {
+    ServingReport, "# cca-serving-report v1",
+    format_serving_report, read_serving_report,
+    {
+        queries: u64,
+        served: u64,
+        degraded: u64,
+        shed_admission: u64,
+        shed_overload: u64,
+        shed_deadline: u64,
+        executed_bytes: u64,
+        estimated_bytes: u64,
+        p50_ns: u64,
+        p95_ns: u64,
+        p99_ns: u64,
+        digest: String,
     }
-    w.field("digest", &report.digest);
-    w.buckets("bucket", &report.histogram);
-    w.finish()
+    rows { bucket => histogram }
 }
 
-/// Writes a serving report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_serving_report<W: Write>(
-    mut writer: W,
-    report: &ServingReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_serving_report(report).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 serving report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, bucket
-/// indices out of range, or unparsable values.
-pub fn read_serving_report<R: Read>(reader: R) -> Result<ServingReport, PersistError> {
-    let mut p = parse_framed(reader, "# cca-serving-report v1", &SERVING_KEYS, &["bucket"])?;
-    Ok(ServingReport {
-        queries: p.u64("queries")?,
-        served: p.u64("served")?,
-        degraded: p.u64("degraded")?,
-        shed_admission: p.u64("shed_admission")?,
-        shed_overload: p.u64("shed_overload")?,
-        shed_deadline: p.u64("shed_deadline")?,
-        executed_bytes: p.u64("executed_bytes")?,
-        estimated_bytes: p.u64("estimated_bytes")?,
-        p50_ns: p.u64("p50_ns")?,
-        p95_ns: p.u64("p95_ns")?,
-        p99_ns: p.u64("p99_ns")?,
-        digest: p.string("digest")?,
-        histogram: p.histogram("bucket"),
-    })
-}
-
-/// Field order of the v1 live-report format (also the write order);
-/// `bucket_pre`/`bucket_mid`/`bucket_post` histogram rows follow the
-/// scalar fields.
-const LIVE_KEYS: [&str; 27] = [
-    "epochs",
-    "queries",
-    "served",
-    "degraded",
-    "shed_admission",
-    "shed_overload",
-    "shed_deadline",
-    "executed_bytes",
-    "estimated_bytes",
-    "evaluated",
-    "migrations",
-    "abandoned_migrations",
-    "migration_epochs",
-    "migrated_bytes",
-    "max_epoch_migrated_bytes",
-    "migration_budget",
-    "pre_epochs",
-    "pre_queries",
-    "pre_executed_bytes",
-    "post_epochs",
-    "post_queries",
-    "post_executed_bytes",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "final_feasible",
-    "digest",
-];
-
-/// Serialises a [`LiveReport`] in the v1 text format
-/// (`# cca-live-report v1`).
-#[must_use]
-pub fn format_live_report(report: &LiveReport) -> String {
-    let mut w = ReportWriter::new("# cca-live-report v1");
-    let u = [
-        report.epochs,
-        report.queries,
-        report.served,
-        report.degraded,
-        report.shed_admission,
-        report.shed_overload,
-        report.shed_deadline,
-        report.executed_bytes,
-        report.estimated_bytes,
-        report.evaluated,
-        report.migrations,
-        report.abandoned_migrations,
-        report.migration_epochs,
-        report.migrated_bytes,
-        report.max_epoch_migrated_bytes,
-        report.migration_budget,
-        report.pre_epochs,
-        report.pre_queries,
-        report.pre_executed_bytes,
-        report.post_epochs,
-        report.post_queries,
-        report.post_executed_bytes,
-        report.p50_ns,
-        report.p95_ns,
-        report.p99_ns,
-    ];
-    for (key, value) in LIVE_KEYS.iter().zip(u) {
-        w.field(key, value);
+report_codec! {
+    LiveReport, "# cca-live-report v1",
+    format_live_report, read_live_report,
+    {
+        epochs: u64,
+        queries: u64,
+        served: u64,
+        degraded: u64,
+        shed_admission: u64,
+        shed_overload: u64,
+        shed_deadline: u64,
+        executed_bytes: u64,
+        estimated_bytes: u64,
+        evaluated: u64,
+        migrations: u64,
+        abandoned_migrations: u64,
+        migration_epochs: u64,
+        migrated_bytes: u64,
+        max_epoch_migrated_bytes: u64,
+        migration_budget: u64,
+        pre_epochs: u64,
+        pre_queries: u64,
+        pre_executed_bytes: u64,
+        post_epochs: u64,
+        post_queries: u64,
+        post_executed_bytes: u64,
+        p50_ns: u64,
+        p95_ns: u64,
+        p99_ns: u64,
+        final_feasible: bool,
+        digest: String,
     }
-    w.field("final_feasible", report.final_feasible);
-    w.field("digest", &report.digest);
-    w.buckets("bucket_pre", &report.pre_histogram);
-    w.buckets("bucket_mid", &report.mid_histogram);
-    w.buckets("bucket_post", &report.post_histogram);
-    w.finish()
-}
-
-/// Writes a live report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_live_report<W: Write>(
-    mut writer: W,
-    report: &LiveReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_live_report(report).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 live report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, bucket
-/// indices out of range, or unparsable values.
-pub fn read_live_report<R: Read>(reader: R) -> Result<LiveReport, PersistError> {
-    let mut p = parse_framed(
-        reader,
-        "# cca-live-report v1",
-        &LIVE_KEYS,
-        &["bucket_pre", "bucket_mid", "bucket_post"],
-    )?;
-    Ok(LiveReport {
-        epochs: p.u64("epochs")?,
-        queries: p.u64("queries")?,
-        served: p.u64("served")?,
-        degraded: p.u64("degraded")?,
-        shed_admission: p.u64("shed_admission")?,
-        shed_overload: p.u64("shed_overload")?,
-        shed_deadline: p.u64("shed_deadline")?,
-        executed_bytes: p.u64("executed_bytes")?,
-        estimated_bytes: p.u64("estimated_bytes")?,
-        evaluated: p.u64("evaluated")?,
-        migrations: p.u64("migrations")?,
-        abandoned_migrations: p.u64("abandoned_migrations")?,
-        migration_epochs: p.u64("migration_epochs")?,
-        migrated_bytes: p.u64("migrated_bytes")?,
-        max_epoch_migrated_bytes: p.u64("max_epoch_migrated_bytes")?,
-        migration_budget: p.u64("migration_budget")?,
-        pre_epochs: p.u64("pre_epochs")?,
-        pre_queries: p.u64("pre_queries")?,
-        pre_executed_bytes: p.u64("pre_executed_bytes")?,
-        post_epochs: p.u64("post_epochs")?,
-        post_queries: p.u64("post_queries")?,
-        post_executed_bytes: p.u64("post_executed_bytes")?,
-        p50_ns: p.u64("p50_ns")?,
-        p95_ns: p.u64("p95_ns")?,
-        p99_ns: p.u64("p99_ns")?,
-        final_feasible: p.bool("final_feasible")?,
-        digest: p.string("digest")?,
-        pre_histogram: p.histogram("bucket_pre"),
-        mid_histogram: p.histogram("bucket_mid"),
-        post_histogram: p.histogram("bucket_post"),
-    })
+    rows {
+        bucket_pre => pre_histogram,
+        bucket_mid => mid_histogram,
+        bucket_post => post_histogram,
+    }
 }
 
 #[cfg(test)]
@@ -875,15 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn writer_round_trip() {
-        let p = problem();
-        let placement = random_hash_placement(&p);
-        let mut buf = Vec::new();
-        write_placement(&mut buf, &p, &placement).expect("write");
-        assert_eq!(read_placement(buf.as_slice(), &p).unwrap(), placement);
-    }
-
-    #[test]
     fn malformed_inputs_are_rejected() {
         let p = problem();
         for text in [
@@ -902,6 +617,54 @@ mod tests {
         // Duplicate assignment.
         let dup = "# cca-placement v1 nodes=3 objects=8\nkw0\t1\nkw0\t2\n";
         assert!(read_placement(dup.as_bytes(), &p).is_err());
+    }
+
+    #[test]
+    fn header_counts_must_match_the_problem() {
+        let p = problem();
+        let body = "kw0\t1\nkw1\t1\nkw2\t1\nkw3\t1\nkw4\t1\nkw5\t1\nkw6\t1\nkw7\t1\n";
+        let ok = format!("# cca-placement v1 nodes=3 objects=8\n{body}");
+        assert!(read_placement(ok.as_bytes(), &p).is_ok());
+        for header in [
+            "# cca-placement v1 nodes=8 objects=8", // more nodes than the problem
+            "# cca-placement v1 nodes=2 objects=8", // fewer nodes than the problem
+            "# cca-placement v1 nodes=3 objects=9",
+            "# cca-placement v1 nodes=3",
+            "# cca-placement v1 nodes=3 objects=8 extra",
+            "# cca-placement v3 nodes=3 objects=8",
+        ] {
+            let text = format!("{header}\n{body}");
+            match read_placement(text.as_bytes(), &p) {
+                Err(PersistError::Format { line: 1, .. }) => {}
+                other => panic!("{header:?} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn replica_count_is_bounded_before_allocating() {
+        let p = problem();
+        for replicas in ["0", "4", "18446744073709551615", "18446744073709551616"] {
+            let text = format!("# cca-placement v2 nodes=3 objects=8 replicas={replicas}\n");
+            match read_replica_placement(text.as_bytes(), &p) {
+                Err(PersistError::Format { line: 1, .. }) => {}
+                other => panic!("replicas={replicas} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn replica_file_is_a_typed_error_for_the_single_copy_reader() {
+        let p = problem();
+        let rp = ReplicaPlacement::from_columns(vec![
+            Placement::new(vec![0, 1, 2, 0, 1, 2, 0, 1], 3),
+            Placement::new(vec![1, 2, 0, 1, 2, 0, 1, 2], 3),
+        ]);
+        let text = format_replica_placement(&p, &rp);
+        assert_eq!(read_replica_placement(text.as_bytes(), &p).unwrap(), rp);
+        let err = read_placement(text.as_bytes(), &p).unwrap_err();
+        assert!(matches!(err, PersistError::Replicated { replicas: 2 }), "{err:?}");
+        assert!(err.to_string().contains("2 copies"), "{err}");
     }
 
     fn report() -> ControllerReport {
@@ -940,9 +703,6 @@ mod tests {
             r.final_cost.to_bits(),
             "shortest-decimal Display must round-trip floats exactly"
         );
-        let mut buf = Vec::new();
-        write_controller_report(&mut buf, &r).expect("write");
-        assert_eq!(read_controller_report(buf.as_slice()).unwrap(), r);
     }
 
     fn serving_report() -> ServingReport {
@@ -981,9 +741,6 @@ mod tests {
         assert!(parsed.counters_consistent());
         // And the round trip is a fixed point of formatting.
         assert_eq!(format_serving_report(&parsed), text);
-        let mut buf = Vec::new();
-        write_serving_report(&mut buf, &r).expect("write");
-        assert_eq!(read_serving_report(buf.as_slice()).unwrap(), r);
     }
 
     #[test]
@@ -1058,9 +815,6 @@ mod tests {
         assert_eq!(parsed, r);
         assert!(parsed.counters_consistent());
         assert_eq!(format_live_report(&parsed), text, "formatting is a fixed point");
-        let mut buf = Vec::new();
-        write_live_report(&mut buf, &r).expect("write");
-        assert_eq!(read_live_report(buf.as_slice()).unwrap(), r);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 #   1. clippy is clean (-D warnings) on every crate the replication work
 #      touches (core, search, bench, the root crate);
 #   2. the replica/domain-tree unit tests pass (spread rule, repair,
-#      domain-loss chaos, v2 persistence, replica kernels);
+#      domain-loss chaos, replica kernels), and so do the persist unit
+#      tests and persist property battery (v1/v2 placement round trip at
+#      r in {1, 2, 3}, header bounds, every reader total under mutation);
 #   3. the replica property battery passes (r=1 bit-identity across
 #      threads {1, 2, 8} x shards {1, 2, 7}, spread invariant through
 #      spread/migrate/repair, deterministic domain-kill grid, reads
@@ -38,6 +40,8 @@ echo
 echo "== replica check: replica + domain-tree unit tests =="
 cargo test -q -p cca-core --lib replica
 cargo test -q -p cca-core --lib domain
+cargo test -q -p cca-core --lib persist
+cargo test -q -p cca-core --test persist_properties
 
 echo
 echo "== replica check: replica property battery =="

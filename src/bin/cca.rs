@@ -423,8 +423,7 @@ fn save_placement(
     problem: &cca::algo::CcaProblem,
     placement: &cca::algo::Placement,
 ) -> Result<(), String> {
-    let mut file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-    cca::algo::write_placement(&mut file, problem, placement)
+    std::fs::write(path, cca::algo::format_placement(problem, placement))
         .map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("wrote placement to {path}");
     Ok(())
@@ -568,10 +567,8 @@ fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, Stri
         println!("  node {k:>3}: {load:>12} ({:.2}x mean)", *load as f64 / mean);
     }
     if let Some(path) = &args.out {
-        let mut file =
-            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        cca::algo::write_replica_placement(&mut file, &r.base.effective_problem, &r.replica)
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        let text = cca::algo::format_replica_placement(&r.base.effective_problem, &r.replica);
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote replica placement to {path}");
     }
     Ok(exit_taxonomy(
@@ -648,9 +645,7 @@ fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
             rp.spread_valid(&tree)
         );
         if let Some(path) = &args.out {
-            let mut file =
-                std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-            cca::algo::write_replica_placement(&mut file, &p.problem, &rp)
+            std::fs::write(path, cca::algo::format_replica_placement(&p.problem, &rp))
                 .map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote replica placement to {path}");
         }

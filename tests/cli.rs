@@ -872,7 +872,7 @@ fn replicas_one_flat_tree_is_byte_identical_to_default() {
 }
 
 /// `place --replicas 2` reports the replica spread and persists a
-/// v2 placement file that the reader round-trips.
+/// v2 placement file that the reader round-trips column for column.
 #[test]
 fn place_replicated_saves_v2_placement() {
     let dir = std::env::temp_dir().join(format!("cca-cli-replica-{}", std::process::id()));
@@ -894,6 +894,56 @@ fn place_replicated_saves_v2_placement() {
         saved.starts_with("# cca-placement v2"),
         "replicated placements must use the v2 format: {}",
         saved.lines().next().unwrap_or("")
+    );
+
+    // Read the file back against the same problem the CLI built (tiny
+    // preset, 4 nodes, default seed 42) and compare every column with
+    // the nodes written on each object's line.
+    let p = cca::pipeline::Pipeline::build(&cca::pipeline::PipelineConfig::new(
+        cca::trace::TraceConfig::tiny(),
+        4,
+    ));
+    let rp = cca::algo::read_replica_placement(saved.as_bytes(), &p.problem)
+        .expect("v2 placement reads back");
+    assert_eq!(rp.replicas(), 2);
+    let tree = cca::algo::DomainTree::parse("2", 4).expect("valid domains");
+    assert!(rp.spread_valid(&tree));
+    for (o, line) in p.problem.objects().zip(saved.lines().skip(1)) {
+        let written: Vec<usize> = line
+            .rsplitn(3, '\t')
+            .take(2)
+            .map(|n| n.parse().expect("node"))
+            .collect();
+        let read: Vec<usize> = (0..2).rev().map(|j| rp.node_of(o, j)).collect();
+        assert_eq!(written, read, "columns of {line:?}");
+    }
+    assert_eq!(cca::algo::format_replica_placement(&p.problem, &rp), saved);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A placement saved for one node count is rejected, not trusted, when
+/// replayed against another: the header's node count must be the
+/// problem's, so `replay` exits 1 with a line-1 error instead of
+/// indexing past the cluster.
+#[test]
+fn replay_rejects_a_placement_for_another_node_count() {
+    let dir = std::env::temp_dir().join(format!("cca-cli-nodes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("placement.tsv");
+    let path_str = path.to_str().expect("utf-8 path");
+
+    let (_, stdout, stderr) = run_code(&[
+        "place", "--preset", "tiny", "--nodes", "8", "--strategy", "random", "--out", path_str,
+    ]);
+    assert!(path.exists(), "stdout: {stdout}\nstderr: {stderr}");
+    let (code, _, stderr) = run_code(&[
+        "replay", "--preset", "tiny", "--nodes", "4", "--placement", path_str,
+    ]);
+    assert_eq!(code, 1, "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 1: nodes=8 is not the problem's 4 nodes"),
+        "stderr: {stderr}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
