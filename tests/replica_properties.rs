@@ -21,10 +21,11 @@
 //! `replica_properties.regressions`.
 
 use cca::algo::{
-    greedy_placement, improve_replicas_in_place, repair_replica_spread, spread_copies,
-    survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId, Placement,
-    ReplicaPlacement,
+    format_replica_placement, greedy_placement, improve_replicas_in_place, repair_replica_spread,
+    spread_copies, survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId,
+    Placement, ReplicaPlacement,
 };
+use cca::hashing::md5;
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
 use cca::trace::TraceConfig;
@@ -352,4 +353,72 @@ fn reads_survive_domain_kill_end_to_end() {
         "counters must partition the offered stream"
     );
     assert_eq!(out.responses.len(), 200, "every offered query answered");
+}
+
+// ---------------------------------------------------------------------
+// Golden pin: the r=3 polish and the domain-loss polish on a Zipf
+// instance return the same placement bits from release to release.
+// ---------------------------------------------------------------------
+
+/// `zipf_instance(2500, 25000, 0.8, 1001)` on 64 nodes of twice the mean
+/// load, with a `4x4` tree (four zones of four four-node leaf domains),
+/// r = 3 copies spread from the greedy primary under slack 3.
+fn zipf_r3_fixture() -> (CcaProblem, DomainTree, ReplicaPlacement) {
+    const NODES: usize = 64;
+    let inst = cca::trace::zipf_instance(2500, 25_000, 0.8, 1001);
+    let mut b = CcaProblem::builder();
+    let ids: Vec<ObjectId> = inst
+        .sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| b.add_object(format!("z{i}"), s))
+        .collect();
+    for p in &inst.pairs {
+        b.add_pair(ids[p.a as usize], ids[p.b as usize], p.correlation, p.comm_cost).unwrap();
+    }
+    let total: u64 = inst.sizes.iter().sum();
+    let problem = b.uniform_capacities(NODES, (2 * total).div_ceil(NODES as u64)).build().unwrap();
+    let tree = DomainTree::parse("4x4", NODES).unwrap();
+    let primary = greedy_placement(&problem);
+    let rp = spread_copies(&problem, &tree, primary, 3, 3.0).unwrap();
+    (problem, tree, rp)
+}
+
+fn placement_md5(problem: &CcaProblem, rp: &ReplicaPlacement) -> String {
+    let text = format_replica_placement(problem, rp);
+    md5::digest(text.as_bytes()).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The spread-preserving polish and the domain-loss repair + polish on
+/// the Zipf fixture: moves, migrated bytes, cost bits and an MD5 of the
+/// placement file are pinned, so any change to the replica move-delta
+/// kernel or the polish's selection rule shows as a diff here.
+#[test]
+fn zipf_r3_polish_and_domain_loss_are_pinned() {
+    let (problem, tree, rp) = zipf_r3_fixture();
+    let options = MigrateOptions { capacity_slack: 3.0, ..MigrateOptions::default() };
+    let polished = improve_replicas_in_place(&problem, &tree, &rp, &options);
+    assert_eq!(
+        (
+            polished.moves,
+            polished.migrated_bytes,
+            polished.comm_cost.to_bits(),
+            placement_md5(&problem, &polished.replica).as_str(),
+        ),
+        (6342, 2_533_578, 61_976f64.to_bits(), "4de6262e3db7714fbcce384be2f5b692"),
+        "polish drifted"
+    );
+
+    let (_, repaired, report) = survive_domain_loss(&problem, &tree, &polished.replica, 5, 3.0);
+    assert_eq!(
+        (
+            report.moves,
+            report.migrated_bytes,
+            report.spread_valid,
+            problem.eval_cost_replicas(&repaired, 1).to_bits(),
+            placement_md5(&problem, &repaired).as_str(),
+        ),
+        (1094, 395_994, true, 60_684f64.to_bits(), "1b63aa4e20d89edc2226b21551507e3a"),
+        "domain-loss repair drifted"
+    );
 }
