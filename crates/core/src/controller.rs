@@ -262,7 +262,7 @@ struct ScopeState {
 /// End-of-run account of a controller loop. Produced by
 /// [`Controller::report`]; serialized by
 /// [`crate::persist::format_controller_report`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ControllerReport {
     /// Epochs stepped.
     pub epochs: u64,

@@ -881,9 +881,10 @@ impl CorrelationGraph {
     }
 
     /// Communication-cost change of moving **replica `j`** of object `i`
-    /// to `target`, in one O(deg·r) walk of `i`'s CSR row: each adjacent
-    /// edge contributes `+w` when the move newly splits it and `−w` when
-    /// it newly joins it, accumulated in row order.
+    /// to `target`: the one-target call of
+    /// [`CorrelationGraph::replica_move_delta_batch`]. Each adjacent edge
+    /// contributes `+w` when the move newly splits it and `−w` when it
+    /// newly joins it, accumulated in row order.
     ///
     /// With `r = 1` this adds/subtracts exactly the weights
     /// [`CorrelationGraph::move_delta`] does, in the same order, so the
@@ -900,30 +901,78 @@ impl CorrelationGraph {
         j: usize,
         target: usize,
     ) -> f64 {
+        let mut scratch = ReplicaDeltaScratch::default();
+        self.replica_move_delta_batch(rp, i, j, &[target], &mut scratch)[0]
+    }
+
+    /// [`CorrelationGraph::replica_move_delta`] for every target in
+    /// `targets`, in a **single** walk of `i`'s CSR row. Each neighbour
+    /// falls in one of three cases, tested once per neighbour rather
+    /// than once per target:
+    ///
+    /// * **joined by another copy** — a copy `k ≠ j` of `i` shares a node
+    ///   with a copy of the neighbour: the edge stays joined wherever
+    ///   copy `j` goes, so no target changes;
+    /// * **split** — no copy of `i` shares a node with it: the move joins
+    ///   the edge (`−w`) only at the ≤ r targets holding a copy of the
+    ///   neighbour, found through the scratch's node → slot map (a node
+    ///   holding two of its copies counts once);
+    /// * **joined only through copy `j`** — the move splits the edge
+    ///   (`+w`) at every target holding no copy of the neighbour.
+    ///
+    /// Entry `t` of the result is **bit-identical** to the per-target
+    /// walk for `targets[t]`: each accumulator starts at `0.0` and sees
+    /// the same `±w` in row order (`targets[t]` equal to copy `j`'s node
+    /// yields exactly `0.0`). With `r = 1` no neighbour is joined by
+    /// another copy and the result equals
+    /// [`CorrelationGraph::move_delta_batch`]. Targets may repeat. The
+    /// result borrows `scratch`, which is reusable across calls and
+    /// grows to O(nodes + targets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i`, `j`, or any target is out of range.
+    pub fn replica_move_delta_batch<'s>(
+        &self,
+        rp: &ReplicaPlacement,
+        i: ObjectId,
+        j: usize,
+        targets: &[usize],
+        scratch: &'s mut ReplicaDeltaScratch,
+    ) -> &'s [f64] {
         let src = rp.node_of(i, j);
-        if src == target {
-            return 0.0;
-        }
-        let r = rp.replicas();
-        // `other` colocates with a replica of `i` after the move iff it
-        // shares a node with any replica k ≠ j, or with `target`.
-        let joined_after = |other: ObjectId| -> bool {
-            (0..r).any(|k| {
-                let n = if k == j { target } else { rp.node_of(i, k) };
-                rp.colocated(other, n)
-            })
-        };
-        let mut delta = 0.0;
+        let s = scratch;
+        s.begin(rp, i, j, targets);
         for (other, w) in self.neighbors(i) {
-            let was_split = rp.split(i, other);
-            let now_split = !joined_after(other);
-            match (was_split, now_split) {
-                (false, true) => delta += w,
-                (true, false) => delta -= w,
-                _ => {}
+            s.copies.clear();
+            s.copies.extend(rp.nodes_of(other));
+            let copies = &s.copies;
+            if copies.iter().any(|n| s.joiners.contains(n)) {
+                continue;
+            }
+            if copies.contains(&src) {
+                for (d, t) in s.deltas.iter_mut().zip(targets) {
+                    if !copies.contains(t) {
+                        *d += w;
+                    }
+                }
+            } else {
+                for (c, &n) in copies.iter().enumerate() {
+                    if copies[..c].contains(&n) {
+                        continue;
+                    }
+                    let mut t = s.slot[n];
+                    while t != NO_SLOT {
+                        s.deltas[t] -= w;
+                        t = s.next[t];
+                    }
+                }
             }
         }
-        delta
+        for &t in targets {
+            s.slot[t] = NO_SLOT;
+        }
+        &s.deltas
     }
 
     /// The summed weight of the edges in `edges` (an [`EdgeId`] range)
@@ -997,6 +1046,54 @@ impl CorrelationGraph {
                 batch_edge_walk(a, b, w, self.positive_weights, rows, k, acc);
             }
         }
+    }
+}
+
+/// Empty entry of [`ReplicaDeltaScratch`]'s slot maps.
+const NO_SLOT: usize = usize::MAX;
+
+/// Reusable buffers of [`CorrelationGraph::replica_move_delta_batch`],
+/// so a search that scores many copies allocates once. Between calls
+/// every entry of the node → slot map is empty.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaDeltaScratch {
+    /// `slot[node]`: the first index of `node` in the target list.
+    slot: Vec<usize>,
+    /// `next[t]`: the next index after `t` holding the same node.
+    next: Vec<usize>,
+    /// Nodes of the moving object's copies other than the moving one.
+    joiners: Vec<usize>,
+    /// Nodes of the current neighbour's copies.
+    copies: Vec<usize>,
+    /// One accumulator per target.
+    deltas: Vec<f64>,
+}
+
+impl ReplicaDeltaScratch {
+    /// Maps every target node to its slots, records the nodes of `i`'s
+    /// copies other than `j`, and zeroes one accumulator per target.
+    fn begin(&mut self, rp: &ReplicaPlacement, i: ObjectId, j: usize, targets: &[usize]) {
+        let n = rp.num_nodes();
+        if let Some(&node) = targets.iter().find(|&&node| node >= n) {
+            panic!("target node {node} out of range for {n} nodes");
+        }
+        if self.slot.len() < n {
+            self.slot.resize(n, NO_SLOT);
+        }
+        self.next.clear();
+        self.next.resize(targets.len(), NO_SLOT);
+        for (t, &node) in targets.iter().enumerate().rev() {
+            self.next[t] = self.slot[node];
+            self.slot[node] = t;
+        }
+        self.joiners.clear();
+        self.joiners.extend(
+            (0..rp.replicas())
+                .filter(|&k| k != j)
+                .map(|k| rp.node_of(i, k)),
+        );
+        self.deltas.clear();
+        self.deltas.resize(targets.len(), 0.0);
     }
 }
 

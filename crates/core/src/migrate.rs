@@ -15,7 +15,7 @@
 //! * [`drain_node`] — evacuate a node for decommission or failure
 //!   recovery, keeping correlation clusters together.
 
-use crate::graph::IncrementalCost;
+use crate::graph::{IncrementalCost, ReplicaDeltaScratch};
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::{DomainTree, ReplicaPlacement};
@@ -140,9 +140,11 @@ pub struct ReplicaMigrationOutcome {
 /// `capacity · capacity_slack`. Copies are visited object-major in
 /// ascending id order, replica index ascending (primary first), targets
 /// in ascending node order with a strict-improvement `<` selection, so
-/// the walk is deterministic. Deltas come from
-/// [`crate::graph::CorrelationGraph::replica_move_delta`]
-/// (min-over-replica-choices split test).
+/// the walk is deterministic. Each copy's fitting targets are scored in
+/// one row walk by
+/// [`crate::graph::CorrelationGraph::replica_move_delta_batch`]
+/// (min-over-replica-choices split test), bit-identical to scoring them
+/// one at a time.
 ///
 /// # Panics
 ///
@@ -159,8 +161,15 @@ pub fn improve_replicas_in_place(
     let r = rp.replicas();
     let n = problem.num_nodes();
     let mut loads = rp.replica_loads(problem);
+    let limits: Vec<f64> = (0..n)
+        .map(|k| problem.capacity(k) as f64 * options.capacity_slack)
+        .collect();
     let mut moves = 0usize;
     let mut migrated = 0u64;
+    // One set of buffers for the whole search.
+    let mut used: Vec<usize> = Vec::with_capacity(r);
+    let mut fitting: Vec<usize> = Vec::with_capacity(n);
+    let mut scratch = ReplicaDeltaScratch::default();
     for _ in 0..options.max_sweeps.max(1) {
         let mut improved = false;
         for o in problem.objects() {
@@ -168,21 +177,24 @@ pub fn improve_replicas_in_place(
             let price = options.migration_price_per_byte * size as f64;
             for j in 0..r {
                 let src = rp.node_of(o, j);
-                let used: Vec<usize> = (0..r)
-                    .filter(|&k| k != j)
-                    .map(|k| tree.domain_of(rp.node_of(o, k)))
-                    .collect();
+                used.clear();
+                used.extend(
+                    (0..r)
+                        .filter(|&k| k != j)
+                        .map(|k| tree.domain_of(rp.node_of(o, k))),
+                );
+                fitting.clear();
+                fitting.extend((0..n).filter(|&k| {
+                    k != src
+                        && !used.contains(&tree.domain_of(k))
+                        && (loads[k] + size) as f64 <= limits[k]
+                }));
+                let deltas =
+                    problem
+                        .graph()
+                        .replica_move_delta_batch(&rp, o, j, &fitting, &mut scratch);
                 let mut best: Option<(f64, usize)> = None;
-                for k in 0..n {
-                    if k == src || used.contains(&tree.domain_of(k)) {
-                        continue;
-                    }
-                    let fits = (loads[k] + size) as f64
-                        <= problem.capacity(k) as f64 * options.capacity_slack;
-                    if !fits {
-                        continue;
-                    }
-                    let delta = problem.graph().replica_move_delta(&rp, o, j, k);
+                for (&k, &delta) in fitting.iter().zip(deltas) {
                     if delta + price < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
                         best = Some((delta, k));
                     }
@@ -360,11 +372,7 @@ pub fn reconcile(
         if candidates.is_empty() {
             break;
         }
-        candidates.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.2[0].cmp(&b.2[0]))
-        });
+        candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.2[0].cmp(&b.2[0])));
         let mut any = false;
         for (_, bytes, group, target) in candidates {
             if bytes > budget {
@@ -579,10 +587,7 @@ pub fn drain_node(
                     .all(|((&l, &d), &lim)| l + d <= lim + 1e-9)
             })
             .max_by(|&a, &b| {
-                join[a]
-                    .partial_cmp(&join[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
+                join[a].total_cmp(&join[b]).then(b.cmp(&a))
             });
         if let Some(k) = target {
             for &o in &group {
@@ -605,11 +610,7 @@ pub fn drain_node(
             let target = *fitting
                 .iter()
                 .zip(&deltas)
-                .min_by(|(a, da), (b, db)| {
-                    da.partial_cmp(db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                })
+                .min_by(|(a, da), (b, db)| da.total_cmp(db).then(a.cmp(b)))
                 .map(|(k, _)| k)?;
             loads.apply(o, node, target);
             placement.assign(o, target);

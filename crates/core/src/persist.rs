@@ -365,9 +365,13 @@ fn parse_framed<R: Read>(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let (key, value) = trimmed
+        // Split before trimming the value, so an empty String field
+        // (`digest<TAB>`) keeps its TAB and reads back as "".
+        let (key, value) = line
+            .trim_start()
             .split_once('\t')
             .ok_or_else(|| format_error(line_no, "expected key<TAB>value"))?;
+        let value = value.trim_end();
         if let Some(&row_key) = row_keys.iter().find(|&&r| r == key) {
             let (idx, count) = value.split_once('\t').ok_or_else(|| {
                 format_error(line_no, format!("expected {row_key}<TAB>index<TAB>count"))
@@ -573,6 +577,26 @@ mod tests {
             b.add_object(format!("kw{i}"), 5 + i as u64);
         }
         b.uniform_capacities(3, 100).build().unwrap()
+    }
+
+    /// Default reports, whose String fields are empty, read back equal.
+    #[test]
+    fn default_reports_round_trip() {
+        let serving = ServingReport::default();
+        let text = format_serving_report(&serving);
+        assert_eq!(
+            read_serving_report(text.as_bytes()).expect("serving"),
+            serving
+        );
+        let live = LiveReport::default();
+        let text = format_live_report(&live);
+        assert_eq!(read_live_report(text.as_bytes()).expect("live"), live);
+        let controller = ControllerReport::default();
+        let text = format_controller_report(&controller);
+        assert_eq!(
+            read_controller_report(text.as_bytes()).expect("controller"),
+            controller
+        );
     }
 
     #[test]

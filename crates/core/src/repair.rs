@@ -115,7 +115,7 @@ impl Repairer<'_> {
         let Some((src, _)) = (0..n)
             .map(|k| (k, self.overload(k)))
             .filter(|&(_, over)| over > 1e-12)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
         else {
             return Ok(false); // feasible
         };

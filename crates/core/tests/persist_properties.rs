@@ -387,12 +387,18 @@ fn mutants(rng: &mut StdRng, text: &str) -> Vec<String> {
 }
 
 /// The lines a reader parses: the header and every non-blank, non-`#`
-/// line after it (readers skip blank and comment lines), each trimmed.
+/// line after it (readers skip blank and comment lines). The header is
+/// trimmed; a later line is split at its first TAB after leading
+/// whitespace and its value trimmed at the end, so `key<TAB>` keeps its
+/// TAB (an empty report string reads back as "").
 fn parsed_lines(text: &str) -> String {
     text.lines()
         .enumerate()
         .filter(|(i, l)| *i == 0 || !(l.trim().is_empty() || l.trim().starts_with('#')))
-        .map(|(_, l)| format!("{}\n", l.trim()))
+        .map(|(i, l)| match l.trim_start().split_once('\t') {
+            Some((key, value)) if i > 0 => format!("{key}\t{}\n", value.trim_end()),
+            _ => format!("{}\n", l.trim()),
+        })
         .collect()
 }
 

@@ -9,10 +9,13 @@
 #   3. the replica property battery passes (r=1 bit-identity across
 #      threads {1, 2, 8} x shards {1, 2, 7}, spread invariant through
 #      spread/migrate/repair, deterministic domain-kill grid, reads
-#      survive a domain kill end to end);
+#      survive a domain kill end to end), and, named on their own, the
+#      batched replica move-delta kernel equals the per-target walk bit
+#      for bit and the r=3 Zipf polish/domain-loss golden pin holds;
 #   4. the CLI replica taxonomy holds (--replicas 0 and replicas >
 #      domains rejected at parse time, r=1 --domains flat byte-identical
-#      to the default, v2 placement files, replicated serve);
+#      to the default, v2 placement files, replicated serve), and replay
+#      reads a replicated placement while a v1 replay stays byte-pinned;
 #   5. a release-mode r=1 identity matrix run: `place --replicas 1
 #      --domains flat` is byte-identical to the flag-free run;
 #   6. a release-mode replicated run survives a whole-domain kill with
@@ -48,9 +51,15 @@ echo "== replica check: replica property battery =="
 cargo test -q -p cca --test replica_properties
 
 echo
+echo "== replica check: batched replica move-delta kernel + r=3 golden pin =="
+cargo test -q -p cca --test replica_properties replica_move_delta_batch_bit_equals_per_target_walk
+cargo test -q -p cca --test replica_properties zipf_r3_polish_and_domain_loss_are_pinned
+
+echo
 echo "== replica check: CLI replica taxonomy =="
 cargo test -q -p cca --test cli replica
 cargo test -q -p cca --test cli domains_flag_rejects_bad_specs
+cargo test -q -p cca --test cli replay
 
 echo
 echo "== replica check: release r=1 identity matrix =="

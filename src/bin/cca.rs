@@ -21,7 +21,8 @@
 //!     solvers such as the LPsolve the paper used)
 //!
 //! cca replay --placement FILE [--preset ...] [--seed N] [--nodes N]
-//!     load a placement saved by `cca place --out` and replay the trace
+//!     load a placement saved by `cca place --out` (one copy per object
+//!     or `--replicas R` copies) and replay the trace
 //!
 //! cca probe [--candidates K] [--scope N] [--seed N] ...
 //!     solve the LP relaxation once, round K candidate placements, score
@@ -869,8 +870,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let p = build_pipeline(args)?;
     let file = std::fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
     let placement =
-        cca::algo::read_placement(file, &p.problem).map_err(|e| format!("{path}: {e}"))?;
-    let stats = p.replay(&placement);
+        cca::algo::read_replica_placement(file, &p.problem).map_err(|e| format!("{path}: {e}"))?;
+    let stats = p.replay_replicas(&placement);
     let base = p
         .evaluate(&Strategy::RandomHash, None)
         .map_err(|e| e.to_string())?;

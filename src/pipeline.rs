@@ -247,9 +247,20 @@ impl Pipeline {
     /// Replays the query log against a placement and measures communication.
     #[must_use]
     pub fn replay(&self, placement: &Placement) -> ExecutionStats {
-        let cluster = self.cluster_for(placement);
-        let engine = QueryEngine::new(&self.index, &cluster, self.config.aggregation);
-        engine.replay(&self.workload.queries)
+        self.replay_on(&self.cluster_for(placement))
+    }
+
+    /// [`Pipeline::replay`] for a replicated placement: each read routes
+    /// to a copy through [`Pipeline::cluster_for_replicas`]. With one
+    /// replica this is exactly [`Pipeline::replay`] of the primary.
+    #[must_use]
+    pub fn replay_replicas(&self, rp: &cca_core::ReplicaPlacement) -> ExecutionStats {
+        self.replay_on(&self.cluster_for_replicas(rp))
+    }
+
+    fn replay_on(&self, cluster: &Cluster) -> ExecutionStats {
+        QueryEngine::new(&self.index, cluster, self.config.aggregation)
+            .replay(&self.workload.queries)
     }
 
     /// Estimates the replay bytes of a placement from metadata alone via

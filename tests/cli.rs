@@ -922,6 +922,72 @@ fn place_replicated_saves_v2_placement() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The replay of a single-copy placement file is pinned byte for byte:
+/// reading it through the replica-aware reader (the r=1 case) must not
+/// change a digit of the report.
+#[test]
+fn replay_of_a_v1_placement_is_pinned() {
+    let dir = std::env::temp_dir().join(format!("cca-cli-v1-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("placement.tsv");
+    let path_str = path.to_str().expect("utf-8 path");
+
+    let (ok, stdout, stderr) = run(&[
+        "place", "--preset", "tiny", "--nodes", "3", "--scope", "40", "--strategy", "greedy",
+        "--out", path_str,
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    let (code, stdout, stderr) = run_code(&[
+        "replay", "--preset", "tiny", "--nodes", "3", "--placement", path_str,
+    ]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(
+        stdout,
+        "bytes moved:   30464\nvs random:     55.8%\nlocal queries: 0.709\n"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A replicated placement file (`place --replicas 2 --out`) replays, and
+/// the bytes it reports are the library's replicated replay of the file.
+#[test]
+fn replay_reads_a_replicated_placement() {
+    let dir = std::env::temp_dir().join(format!("cca-cli-v2-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("placement.tsv");
+    let path_str = path.to_str().expect("utf-8 path");
+
+    let (code, stdout, stderr) = run_code(&[
+        "place", "--preset", "tiny", "--nodes", "4", "--replicas", "2", "--domains", "2",
+        "--out", path_str,
+    ]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    let saved = std::fs::read_to_string(&path).expect("placement file written");
+    assert!(saved.starts_with("# cca-placement v2"), "{saved}");
+
+    let (code, stdout, stderr) = run_code(&[
+        "replay", "--preset", "tiny", "--nodes", "4", "--placement", path_str,
+    ]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    for needle in ["bytes moved:", "vs random:", "local queries:"] {
+        assert!(stdout.contains(needle), "missing {needle} in {stdout}");
+    }
+    let p = cca::pipeline::Pipeline::build(&cca::pipeline::PipelineConfig::new(
+        cca::trace::TraceConfig::tiny(),
+        4,
+    ));
+    let rp = cca::algo::read_replica_placement(saved.as_bytes(), &p.problem)
+        .expect("v2 placement reads back");
+    let bytes = p.replay_replicas(&rp).total_bytes;
+    assert!(
+        stdout.starts_with(&format!("bytes moved:   {bytes}\n")),
+        "want {bytes} bytes: {stdout}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A placement saved for one node count is rejected, not trusted, when
 /// replayed against another: the header's node count must be the
 /// problem's, so `replay` exits 1 with a line-1 error instead of

@@ -2,7 +2,7 @@
 //! strict generalization of the single-copy code, and the spread
 //! invariant must survive every operation that rewrites a placement.
 //!
-//! Three contracts, each over randomized cases with shrinking:
+//! Four contracts, each over randomized cases with shrinking:
 //!
 //! 1. **r=1 bit-identity** — with one copy and a flat tree,
 //!    `eval_cost_replicas` / `replica_move_delta` return the same bits
@@ -15,7 +15,13 @@
 //! 3. **domain-kill chaos** — `survive_domain_loss` evacuates every
 //!    copy off the dead domain deterministically, and the repaired
 //!    placement still serves reads end to end (served > 0, counters
-//!    partition the offered stream).
+//!    partition the offered stream);
+//! 4. **batched replica deltas** — `replica_move_delta_batch` scores
+//!    every target of one copy in one row walk, bit-identical to the
+//!    per-target walk kept here as the oracle.
+//!
+//! A golden pin fixes the r=3 polish and domain-loss repair on a Zipf
+//! instance: moves, migrated bytes, cost bits and placement MD5.
 //!
 //! Failures shrink to a minimal case and are pinned in
 //! `replica_properties.regressions`.
@@ -23,7 +29,7 @@
 use cca::algo::{
     format_replica_placement, greedy_placement, improve_replicas_in_place, repair_replica_spread,
     spread_copies, survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId,
-    Placement, ReplicaPlacement,
+    Placement, ReplicaDeltaScratch, ReplicaPlacement,
 };
 use cca::hashing::md5;
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -229,6 +235,197 @@ fn spread_invariant_survives_spread_migrate_and_repair() {
                 outcome.moves,
                 outcome.migrated_bytes
             );
+            Ok(())
+        });
+}
+
+// ---------------------------------------------------------------------
+// Batched replica move-delta kernel against the per-target walk.
+// ---------------------------------------------------------------------
+
+/// The per-target replica move delta, one row walk per target: each
+/// adjacent edge adds `w` when moving copy `j` of `i` to `target` newly
+/// splits it and subtracts `w` when it newly joins it, in row order from
+/// `0.0`. `replica_move_delta_batch` must return exactly these bits.
+fn replica_move_delta_oracle(
+    problem: &CcaProblem,
+    rp: &ReplicaPlacement,
+    i: ObjectId,
+    j: usize,
+    target: usize,
+) -> f64 {
+    let src = rp.node_of(i, j);
+    if src == target {
+        return 0.0;
+    }
+    let joined_after = |other: ObjectId| -> bool {
+        (0..rp.replicas()).any(|k| {
+            let n = if k == j { target } else { rp.node_of(i, k) };
+            rp.colocated(other, n)
+        })
+    };
+    let mut delta = 0.0;
+    for (other, w) in problem.graph().neighbors(i) {
+        match (rp.split(i, other), !joined_after(other)) {
+            (false, true) => delta += w,
+            (true, false) => delta -= w,
+            _ => {}
+        }
+    }
+    delta
+}
+
+/// Shrinkable kernel case: a problem, a replication factor, a tree
+/// shape (0 flat, 1 contiguous, 2 zoned) and a seed for the hand-built
+/// placement and the target lists.
+#[derive(Debug, Clone)]
+struct KernelCase {
+    objects: usize,
+    nodes: usize,
+    seed: u64,
+    replicas: usize,
+    tree: usize,
+}
+
+impl Shrink for KernelCase {
+    fn shrink(&self) -> Vec<Self> {
+        let mut out = Vec::new();
+        for objects in self.objects.shrink() {
+            if objects >= 2 {
+                out.push(KernelCase { objects, ..self.clone() });
+            }
+        }
+        for nodes in self.nodes.shrink() {
+            if nodes >= 3 {
+                out.push(KernelCase { nodes, ..self.clone() });
+            }
+        }
+        for seed in self.seed.shrink() {
+            out.push(KernelCase { seed, ..self.clone() });
+        }
+        for replicas in self.replicas.shrink() {
+            if replicas >= 1 {
+                out.push(KernelCase { replicas, ..self.clone() });
+            }
+        }
+        for tree in self.tree.shrink() {
+            out.push(KernelCase { tree, ..self.clone() });
+        }
+        out
+    }
+}
+
+fn kernel_case(rng: &mut StdRng) -> KernelCase {
+    KernelCase {
+        objects: rng.random_range(2usize..=12),
+        nodes: rng.random_range(3usize..=8),
+        seed: rng.random_range(0u64..1_000_000),
+        replicas: rng.random_range(1usize..=3),
+        tree: rng.random_range(0usize..3),
+    }
+}
+
+/// The case's tree; every shape has at least `replicas` leaf domains.
+fn kernel_tree(c: &KernelCase) -> Result<DomainTree, String> {
+    let tree = match c.tree {
+        0 => Ok(DomainTree::flat(c.nodes)),
+        1 => {
+            let domains = c.replicas + c.seed as usize % (c.nodes - c.replicas + 1);
+            DomainTree::contiguous(c.nodes, domains)
+        }
+        _ => {
+            let zones = if c.nodes >= 4 { 2 } else { 1 };
+            DomainTree::zoned(c.nodes, zones, c.replicas.div_ceil(zones))
+        }
+    };
+    tree.map_err(|e| e.to_string())
+}
+
+/// Copies on random nodes with no spread rule; with two or more copies,
+/// about half the objects get their last copy on their primary's node,
+/// so a neighbour's copies often share a node.
+fn hand_built_replicas(c: &KernelCase) -> ReplicaPlacement {
+    let mut rng = StdRng::seed_from_u64(c.seed ^ 0x5851_f42d_4c95_7f2d);
+    let mut columns: Vec<Vec<u32>> = (0..c.replicas)
+        .map(|_| (0..c.objects).map(|_| rng.random_range(0u32..c.nodes as u32)).collect())
+        .collect();
+    if let [first, .., last] = columns.as_mut_slice() {
+        for (node, &primary) in last.iter_mut().zip(first.iter()) {
+            if rng.random_bool(0.5) {
+                *node = primary;
+            }
+        }
+    }
+    ReplicaPlacement::from_columns(
+        columns.into_iter().map(|col| Placement::new(col, c.nodes)).collect(),
+    )
+}
+
+/// Entry `t` of `replica_move_delta_batch` equals the per-target walk
+/// for `targets[t]` bit for bit, for r in {1, 2, 3} on flat, contiguous
+/// and zoned trees, on spread placements and on hand-built ones whose
+/// copies share nodes, for random target lists (with repeats) that
+/// include the moving copy's own node. One scratch serves every call,
+/// so a stale slot map would show. At r = 1 the entries also equal
+/// `move_delta_batch`, and `replica_move_delta` is the batch's entry.
+#[test]
+fn replica_move_delta_batch_bit_equals_per_target_walk() {
+    Checker::new("replica_move_delta_batch_bit_equals_per_target_walk")
+        .cases(48)
+        .regressions(REGRESSIONS)
+        .run(kernel_case, |c| {
+            let base = ReplicaCase {
+                objects: c.objects,
+                nodes: c.nodes,
+                seed: c.seed,
+                move_object: 0,
+                move_target: 0,
+            };
+            let problem = build_problem(&base);
+            let tree = kernel_tree(c)?;
+            let primary = random_placement(&base);
+            let spread = spread_copies(&problem, &tree, primary, c.replicas, c.replicas as f64)
+                .map_err(|e| e.to_string())?;
+            let graph = problem.graph();
+            let mut rng = StdRng::seed_from_u64(c.seed.rotate_left(17));
+            let mut scratch = ReplicaDeltaScratch::default();
+            for rp in [spread, hand_built_replicas(c)] {
+                for i in problem.objects() {
+                    for j in 0..c.replicas {
+                        let src = rp.node_of(i, j);
+                        let len = rng.random_range(0usize..=2 * c.nodes);
+                        let mut targets: Vec<usize> =
+                            (0..len).map(|_| rng.random_range(0usize..c.nodes)).collect();
+                        targets.insert(rng.random_range(0usize..=len), src);
+                        let batch =
+                            graph.replica_move_delta_batch(&rp, i, j, &targets, &mut scratch).to_vec();
+                        prop_assert_eq!(batch.len(), targets.len());
+                        for (&t, &d) in targets.iter().zip(&batch) {
+                            let oracle = replica_move_delta_oracle(&problem, &rp, i, j, t);
+                            prop_assert_eq!(
+                                d.to_bits(),
+                                oracle.to_bits(),
+                                "object {:?} copy {} target {}: batch {} vs per-target {}",
+                                i,
+                                j,
+                                t,
+                                d,
+                                oracle
+                            );
+                            let single = graph.replica_move_delta(&rp, i, j, t);
+                            prop_assert_eq!(single.to_bits(), oracle.to_bits());
+                        }
+                        if c.replicas == 1 {
+                            let flat = graph.move_delta_batch(rp.primary(), i, &targets);
+                            prop_assert_eq!(
+                                batch.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                                flat.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                                "r=1 batch diverges from move_delta_batch"
+                            );
+                        }
+                    }
+                }
+            }
             Ok(())
         });
 }
